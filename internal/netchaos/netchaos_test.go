@@ -35,12 +35,16 @@ func payloadServer(t *testing.T, payload []byte) string {
 }
 
 // dialRead connects through the proxy and reads until EOF or error,
-// returning whatever arrived and the terminal error.
+// returning whatever arrived and the terminal error. A failed dial is
+// returned as the terminal error rather than failing the test: a planned
+// drop resets the connection, and that RST can reach the client before
+// the kernel reports the connect as complete — the drop fault as the
+// client sees it. Tests that expect a clean pass-through reject any error.
 func dialRead(t *testing.T, addr string) ([]byte, error) {
 	t.Helper()
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
-		t.Fatalf("dial proxy: %v", err)
+		return nil, err
 	}
 	defer c.Close()
 	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
