@@ -48,11 +48,15 @@ func newTestFleet(t *testing.T, n int, cfg Config) *Fleet {
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewMetrics(telemetry.NewRegistry())
 	}
+	// The directory is made before f.Close is registered so that cleanup
+	// closes the fleet — waiting out flights a test abandoned, which may
+	// still write their disk-cache entries — before removing it.
+	dir := t.TempDir()
 	f := New(cfg)
 	t.Cleanup(f.Close)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("node-%d", i)
-		f.AddNode(NewNode(id, t.TempDir()+"/"+id, testServerConfig()))
+		f.AddNode(NewNode(id, dir+"/"+id, testServerConfig()))
 	}
 	return f
 }

@@ -48,6 +48,25 @@ func (c *spanCollector) named(name string) []telemetry.SpanRecord {
 	return out
 }
 
+// traceSettled reports whether spans hold a lost hedge attempt and the
+// parent of every span that has one.
+func traceSettled(spans []telemetry.SpanRecord) bool {
+	ids := map[uint64]bool{}
+	lost := false
+	for _, s := range spans {
+		ids[s.SpanID] = true
+		if s.Name == "fleet.attempt" && s.Attrs["outcome"] == "lost" {
+			lost = true
+		}
+	}
+	for _, s := range spans {
+		if s.Parent != 0 && !ids[s.Parent] {
+			return false
+		}
+	}
+	return lost
+}
+
 // TestFleetRequestTraceEndToEnd is the tentpole acceptance test: one
 // batch request through a 4-node in-process fleet — with a dead primary
 // (failover) and a slowed search (hedged retry) — must produce a single
@@ -117,18 +136,13 @@ func TestFleetRequestTraceEndToEnd(t *testing.T) {
 	}
 
 	// The hedge loser's span lands asynchronously after its attempt
-	// drains; poll for it.
+	// drains, and the loser's abandoned flight keeps running on its node
+	// (its compile.attempt span ends only when the delayed search
+	// returns, after the stage spans under it were recorded). Poll until
+	// the loser is recorded and the trace has settled: every recorded
+	// span's parent eventually recorded too.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		lost := 0
-		for _, s := range col.named("fleet.attempt") {
-			if s.Attrs["outcome"] == "lost" {
-				lost++
-			}
-		}
-		if lost > 0 || time.Now().After(deadline) {
-			break
-		}
+	for !traceSettled(col.snapshot()) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
