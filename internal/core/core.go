@@ -1,8 +1,27 @@
 // Package core implements the paper's optimal pipeline scheduling search
 // (section 4.2.3): a heavily-pruned depth-first branch-and-bound over
-// instruction orderings that finds the minimum-NOP schedule of a basic
+// instruction orderings that finds the minimum-cost schedule of a basic
 // block for a machine with multiple pipelines, each with its own latency
 // and enqueue time.
+//
+// One branch-and-bound kernel (searcher, this file) serves every
+// scheduler mode. It owns the search itself: Π, the candidate filters,
+// the λ budget and context polling, α–β against the incumbent, the
+// root-certificate early stop, seed pricing, trace events and result
+// assembly. What a placement costs is a cost model's business (the
+// costModel interface):
+//
+//   - the in-order model (inorder.go) prices prefixes with the paper's
+//     NOP-insertion procedure Ω (internal/nopins) and adds the extensions
+//     admissible on the in-order machine — the lower-bound engine
+//     (internal/bound), the dominance memo (internal/memo) and, in the
+//     register-pressure modes, the live tracker (minreg.go);
+//   - the scoreboard model (scoreboard.go) prices issue ticks on an
+//     out-of-order window machine and declares the bound engine and memo
+//     inadmissible, bringing its own critical-path bound instead.
+//
+// Find runs the kernel sequentially; FindParallel (parallel.go) fans the
+// kernel's first level out across workers that share the incumbent.
 //
 // The search maintains the paper's Π as a mutable permutation. At depth i
 // the prefix Φ = Π[0:i] is committed; candidates for position i are drawn
@@ -17,18 +36,19 @@
 //	     schedule provably equivalent to one already considered, so it
 //	     is skipped.
 //
-// After a candidate is placed, the NOP-insertion procedure Ω
-// (internal/nopins) prices the new position and α–β pruning abandons the
-// branch unless μ(Φ) < μ(π), the best complete schedule found so far.
-// Every Ω invocation counts toward the curtail point λ; if λ is reached
-// the search stops with the best schedule found, which may then be
-// suboptimal (the paper's rule [2]).
+// After a candidate is placed, the cost model prices the new position (Ω
+// in the paper's model) and α–β pruning abandons the branch unless
+// μ(Φ) < μ(π), the best complete schedule found so far. Every placement
+// counts toward the curtail point λ; if λ is reached the search stops
+// with the best schedule found, which may then be suboptimal (the
+// paper's rule [2]).
 //
 // None of the pruning rules can remove all optimal schedules: [5b] removes
 // only illegal orders, [5a] removes only orders that [5b] would reject at
 // a deeper level, [5c] removes only cost-equal duplicates, and α–β removes
 // only prefixes already at least as expensive as a known complete
-// schedule (η is non-negative, so a prefix's cost never decreases).
+// schedule (every model's prefix cost never decreases along a branch —
+// η is non-negative, and a makespan only grows).
 package core
 
 import (
@@ -40,12 +60,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pipesched/internal/bound"
 	"pipesched/internal/dag"
 	"pipesched/internal/gross"
 	"pipesched/internal/listsched"
 	"pipesched/internal/machine"
-	"pipesched/internal/memo"
 	"pipesched/internal/nopins"
 )
 
@@ -223,71 +241,118 @@ type Schedule struct {
 	IssueTicks []int
 }
 
-// searcher carries the mutable state of one search.
+// add folds another search's counters into st — a parallel worker's into
+// the aggregate. Curtailed and Elapsed describe the whole search and are
+// set by its owner.
+func (st *Stats) add(o Stats) {
+	st.OmegaCalls += o.OmegaCalls
+	st.SeedOmegaCalls += o.SeedOmegaCalls
+	st.SchedulesExamined += o.SchedulesExamined
+	st.Improvements += o.Improvements
+	st.PrunedBounds += o.PrunedBounds
+	st.PrunedIllegal += o.PrunedIllegal
+	st.PrunedEquivalence += o.PrunedEquivalence
+	st.PrunedStrongEquiv += o.PrunedStrongEquiv
+	st.PrunedAlphaBeta += o.PrunedAlphaBeta
+	st.PrunedLowerBound += o.PrunedLowerBound
+	st.PrunedResource += o.PrunedResource
+	st.PrunedPressure += o.PrunedPressure
+	st.MemoHits += o.MemoHits
+}
+
+// countPrune attributes one placement prune reported by a cost model.
+func (st *Stats) countPrune(a TraceAction) {
+	switch a {
+	case TracePressure:
+		st.PrunedPressure++
+	case TraceLowerBound:
+		st.PrunedLowerBound++
+	case TraceResource:
+		st.PrunedResource++
+	}
+}
+
+// costModel prices the growing prefix for the branch-and-bound kernel.
+// A model's packed prefix cost never decreases along a branch, so it is
+// an admissible bound on the packed cost of every completion — the
+// property α–β relies on. Two models exist: inOrderModel (the paper's
+// machine and the register-pressure modes) and scoreboardModel.
+type costModel interface {
+	// root returns the model's admissible root lower bound in its own
+	// unit and in the packed cost order, and whether an incumbent at the
+	// packed bound is thereby proven optimal (the root certificate, which
+	// stops the search).
+	root() (lb int, cost int64, certifies bool)
+	// push places xi at the next position — on pipe when explicit (the
+	// AssignSearch extension), otherwise on the model's own choice — and
+	// returns the value the placement's trace events carry in Eta.
+	push(xi, pipe int, explicit bool) int
+	// pop undoes the most recent push of xi.
+	pop(xi int)
+	// pipeChoices lists the pipelines AssignSearch branches over.
+	pipeChoices(xi int) []int
+	// mu is μ(Φ): the prefix's cost in the model's unit (NOPs or stalls).
+	mu() int
+	// assess judges the prefix just extended by xi against the α–β
+	// cutoff. It returns the prefix's packed cost and, when a rule of the
+	// model proves that no completion is feasible or can cost less than
+	// cutoff, that rule's prune class and the Eta its trace event
+	// carries. Bound rules are tried only while cost < cutoff, so every
+	// prune is attributed to exactly one class.
+	assess(xi int, cutoff int64) (cost int64, prune TraceAction, eta int)
+	// dominated consults the model's dominance memo: seen reports a
+	// revisited state that cannot improve; otherwise key identifies the
+	// state for remember, called once its subtree is fully explored.
+	dominated() (key string, seen bool)
+	remember(key string)
+	// price evaluates a complete order, leaving the prefix empty, and
+	// returns its packed cost (noIncumbent when the order breaks the
+	// mode's hard constraint) and its μ. adopt makes the order last
+	// priced the incumbent; keep makes the current complete prefix the
+	// incumbent.
+	price(order []int) (cost int64, mu int, err error)
+	adopt()
+	keep()
+	// schedule renders the incumbent: Order, Eta, Pipes, TotalNOPs,
+	// Ticks, MaxLive and IssueTicks.
+	schedule() *Schedule
+}
+
+// searcher is the branch-and-bound kernel: the state of one search, or
+// of one worker of a parallel search, over a cost model.
 type searcher struct {
-	g    *dag.Graph
-	m    *machine.Machine
-	opts Options
-	eval *nopins.Evaluator
+	g     *dag.Graph
+	m     *machine.Machine
+	opts  Options
+	model costModel
 
-	perm      []int // the paper's Π: current complete ordering
-	bestTotal int
-	best      nopins.Result
-	stats     Stats
-	curtail   bool
-	stopErr   error // why the search stopped early (ErrBudget or ctx error)
+	perm       []int  // the paper's Π: current complete ordering
+	placed     []bool // node -> in the committed prefix Φ
+	pipeOf     []int  // node -> first allowed pipeline (machine.NoPipeline for none)
+	equivClass []int  // StrongEquivalence: canonical representative per node
 
-	// Mode state (see minreg.go). bestCost is the incumbent in the
-	// mode's packed order: plain NOPs for paper/minreg-k, (NOPs,
-	// MAXLIVE) packed lexicographically for minreg-lex. rootCost is the
-	// same packing of the root lower bounds; incumbent ≤ rootCost is the
-	// mode-aware optimality certificate.
-	lex       bool         // minreg-lex: lexicographic (NOPs, MAXLIVE)
-	kBound    int          // minreg-k: MAXLIVE bound (0 = unconstrained)
-	lt        *liveTracker // non-nil in the register-pressure modes
-	bestCost  int64        // packed incumbent cost (1<<62 = no incumbent yet)
-	bestPeak  int          // MAXLIVE of the incumbent (pressure modes)
-	rootCost  int64        // packed root lower bound
-	peakFloor int          // admissible root lower bound on MAXLIVE
+	rootLB    int   // the model's root lower bound, in its unit
+	rootCost  int64 // the same bound in the packed cost order
+	certifies bool  // an incumbent at rootCost is provably optimal
 
-	equivClass []int         // StrongEquivalence: canonical representative per node
-	bnd        *bound.Engine // lower-bound engine (nil when fully disabled)
-	rootLB     int           // admissible lower bound of the empty schedule
-	table      *memo.Table   // dominance table (nil when disabled)
-	canon      memo.Canon    // reusable key builder for table lookups
-	pipeRes    []int         // scratch for per-pipeline residuals
-	startTick  int           // entry-state clock offset (0 for cold starts)
-	done       bool          // incumbent reached rootLB: provably optimal, stop
+	// bestCost is the incumbent's cost in the mode's packed order: plain
+	// NOPs or stalls, or (NOPs, MAXLIVE) packed lexicographically in
+	// minreg-lex (minreg.go). The incumbent itself lives in the model.
+	bestCost    int64
+	initialNOPs int // μ of the seed incumbent
+	stats       Stats
+	curtail     bool
+	stopErr     error // why the search stopped early (ErrBudget or ctx error)
+	start       time.Time
 
 	shared *sharedBound // non-nil when part of a parallel search
 	worker int          // parallel-search worker index, stamped on trace events
-}
 
-// attachEngines builds the lower-bound engine and dominance table the
-// options ask for. The engine is needed by BOTH features (the table's
-// canonical keys read its per-pipeline enqueue state), so it is built
-// unless both are disabled — the pure paper-faithful configuration.
-func (s *searcher) attachEngines() {
-	if s.opts.DisableLowerBound && s.opts.DisableMemo {
-		return
-	}
-	s.bnd = bound.New(s.g, s.m, boundConfig(s.opts))
-	s.rootLB = s.bnd.Root()
-	if !s.opts.DisableMemo {
-		s.table = memo.NewTable(s.opts.MemoEntries)
-	}
-}
-
-// boundConfig translates search options into the bound engine's view of
-// the assignment semantics and entry state.
-func boundConfig(opts Options) bound.Config {
-	cfg := bound.Config{FixedAssign: opts.Assign == nopins.AssignFixed}
-	if opts.Entry != nil {
-		cfg.StartTick = opts.Entry.StartTick
-		cfg.PipeLast = opts.Entry.PipeLast
-		cfg.ReadyTick = opts.Entry.ReadyTick
-	}
-	return cfg
+	// collectRoots makes place record each candidate in roots instead of
+	// searching it: FindParallel's coordinator runs dfs(0) this way, so
+	// the workers' subtrees are exactly the kernel's depth-0 survivors.
+	collectRoots bool
+	roots        []int
 }
 
 // noIncumbent is bestCost before any feasible schedule is known (only
@@ -373,14 +438,31 @@ var errIllegalSeed = fmt.Errorf("core: initial order violates dependences")
 
 // Find runs the search and returns the best schedule discovered.
 func Find(g *dag.Graph, m *machine.Machine, opts Options) (*Schedule, error) {
+	s, err := setup(g, m, opts)
+	if err != nil {
+		return nil, err
+	}
+	if s == nil {
+		return emptySchedule(opts.Sched), nil
+	}
+	if s.needsSearch() {
+		s.dfs(0)
+	}
+	return s.finish(s)
+}
+
+// setup is the entry shared by Find and FindParallel: it validates the
+// options, builds the searcher for the seed order and prices the seed
+// incumbent. It returns a nil searcher and nil error for an empty block.
+func setup(g *dag.Graph, m *machine.Machine, opts Options) (*searcher, error) {
 	if err := opts.Sched.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Sched.Kind == machine.SchedScoreboard {
-		return findScoreboard(g, m, opts)
+	if err := checkScoreboardOptions(opts); err != nil {
+		return nil, err
 	}
 	if g.N == 0 {
-		return &Schedule{Optimal: true, Order: []int{}, Eta: []int{}, Pipes: []int{}}, nil
+		return nil, nil
 	}
 	seed := opts.InitialOrder
 	if seed == nil {
@@ -389,124 +471,128 @@ func Find(g *dag.Graph, m *machine.Machine, opts Options) (*Schedule, error) {
 	if !g.IsLegalOrder(seed) {
 		return nil, errIllegalSeed
 	}
+	s, err := newSearcher(g, m, opts, seed)
+	if err != nil {
+		return nil, err
+	}
+	s.start = time.Now()
+	if err := s.seedIncumbent(seed); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
+// emptySchedule is the (trivially optimal) schedule of an empty block.
+func emptySchedule(sched machine.SchedMode) *Schedule {
+	s := &Schedule{Optimal: true, Order: []int{}, Eta: []int{}, Pipes: []int{}}
+	if sched.Kind == machine.SchedScoreboard {
+		s.IssueTicks = []int{}
+	}
+	return s
+}
+
+// newSearcher builds a searcher with Π = perm, no incumbent, and the cost
+// model the scheduler mode selects. Parallel workers are built by the
+// same constructor.
+func newSearcher(g *dag.Graph, m *machine.Machine, opts Options, perm []int) (*searcher, error) {
 	s := &searcher{
-		g:    g,
-		m:    m,
-		opts: opts,
-		eval: nopins.NewEvaluator(g, m, opts.Assign),
-		perm: append([]int(nil), seed...),
+		g:        g,
+		m:        m,
+		opts:     opts,
+		perm:     append([]int(nil), perm...),
+		placed:   make([]bool, g.N),
+		pipeOf:   make([]int, g.N),
+		bestCost: noIncumbent,
 	}
-	s.lex = opts.Sched.Kind == machine.SchedMinRegLex
-	if opts.Sched.Kind == machine.SchedMinRegK {
-		s.kBound = opts.Sched.K
-	}
-	if opts.Sched.NeedsPressure() {
-		s.lt = newLiveTracker(g)
-		s.peakFloor = bound.PressureFloor(g)
-		if s.kBound > 0 && s.peakFloor > s.kBound {
-			// The static pressure floor already exceeds k: every legal
-			// order is infeasible, no search needed.
-			return nil, fmt.Errorf("%w: every legal order of block %q needs MAXLIVE ≥ %d, bound is %d",
-				ErrInfeasible, g.Block.Label, s.peakFloor, s.kBound)
+	for u := range s.pipeOf {
+		s.pipeOf[u] = machine.NoPipeline
+		if set := m.PipelinesFor(g.Block.Tuples[u].Op); len(set) > 0 {
+			s.pipeOf[u] = set[0]
 		}
-	}
-	if opts.Entry != nil {
-		s.eval.SetEntryState(opts.Entry)
 	}
 	if opts.StrongEquivalence {
 		s.equivClass = equivalenceClasses(g, m)
 	}
-	s.attachEngines()
-	s.rootCost = s.packCost(s.rootLB, s.peakFloor)
-	if opts.Entry != nil {
-		s.startTick = opts.Entry.StartTick
+	if opts.Sched.Kind == machine.SchedScoreboard {
+		s.model = newScoreboardModel(g, m, opts, s.pipeOf)
+	} else {
+		md, err := newInOrderModel(g, m, opts)
+		if err != nil {
+			return nil, err
+		}
+		s.model = md
 	}
+	s.rootLB, s.rootCost, s.certifies = s.model.root()
+	return s, nil
+}
 
-	start := time.Now()
-
-	// Step [1]: price the initial schedule; it becomes π, the incumbent —
-	// unless minreg-k rejects its pressure, in which case the search
-	// starts with no incumbent at all (α–β against noIncumbent).
-	seedRes, err := s.eval.EvaluateOrder(seed)
+// seedIncumbent runs step [1]: it prices the initial schedule and makes
+// it π, the incumbent — unless minreg-k rejects its pressure, in which
+// case the search starts with no incumbent at all. It then optionally
+// also prices the greedy baseline's order and keeps the cheaper of the
+// two (the search explores the same space either way; a tighter
+// incumbent only prunes more).
+func (s *searcher) seedIncumbent(seed []int) error {
+	cost, mu, err := s.model.price(seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.stats.SeedOmegaCalls = int64(g.N)
+	s.stats.SeedOmegaCalls = int64(s.g.N)
 	s.stats.SchedulesExamined = 1
-	s.bestCost = noIncumbent
-	s.bestTotal = 1 << 30
-	seedPeak := 0
-	if s.lt != nil {
-		seedPeak = peakOf(g, seed)
+	s.initialNOPs = mu
+	if cost < s.bestCost {
+		s.bestCost = cost
+		s.model.adopt()
 	}
-	if feasiblePeak(opts.Sched, seedPeak) {
-		s.best = seedRes
-		s.bestTotal = seedRes.TotalNOPs
-		s.bestPeak = seedPeak
-		s.bestCost = s.packCost(seedRes.TotalNOPs, seedPeak)
-	}
-
-	// Optionally also price the greedy baseline's order and keep the
-	// cheaper incumbent (the search explores the same space either way;
-	// a tighter incumbent only prunes more).
-	if opts.InitialOrder == nil && !opts.DisableGreedySeed && s.bestCost > 0 {
-		greedyOrder := gross.Schedule(g, m, opts.Assign).Order
-		if greedyRes, err := s.eval.EvaluateOrder(greedyOrder); err == nil {
-			s.stats.SeedOmegaCalls += int64(g.N)
+	if s.opts.InitialOrder == nil && !s.opts.DisableGreedySeed && s.bestCost > 0 {
+		greedy := gross.Schedule(s.g, s.m, s.opts.Assign).Order
+		if cost, mu, err := s.model.price(greedy); err == nil {
+			s.stats.SeedOmegaCalls += int64(s.g.N)
 			s.stats.SchedulesExamined++
-			greedyPeak := 0
-			if s.lt != nil {
-				greedyPeak = peakOf(g, greedyOrder)
-			}
-			if c := s.packCost(greedyRes.TotalNOPs, greedyPeak); feasiblePeak(opts.Sched, greedyPeak) && c < s.bestCost {
-				s.best = greedyRes
-				s.bestTotal = greedyRes.TotalNOPs
-				s.bestPeak = greedyPeak
-				s.bestCost = c
-				seedRes = greedyRes
+			if cost < s.bestCost {
+				s.bestCost = cost
+				s.initialNOPs = mu
+				s.model.adopt()
 			}
 		}
 	}
+	return nil
+}
 
-	// Steps [2]–[8]: depth-first search over swaps, unless the seed is
-	// already provably optimal — packed cost zero cannot be beaten, and a
-	// seed matching the packed root lower bound cannot be beaten either
-	// (the bound engine's optimality certificate; skipping the search
-	// costs nothing). In minreg-lex the certificate needs BOTH floors:
-	// NOP-optimality alone does not prove pressure-optimality.
-	if s.bestCost > 0 && (s.bnd == nil || s.bestCost > s.rootCost) {
-		s.eval.Reset()
-		s.dfs(0)
-	}
-	s.stats.Elapsed = time.Since(start)
+// needsSearch reports whether steps [2]–[8] can still improve on the
+// seed incumbent: packed cost zero cannot be beaten, and under a
+// certifying model neither can an incumbent at the packed root lower
+// bound (skipping the search then costs nothing). In minreg-lex the
+// certificate needs BOTH floors: NOP-optimality alone does not prove
+// pressure-optimality.
+func (s *searcher) needsSearch() bool {
+	return s.bestCost > 0 && !(s.certifies && s.bestCost <= s.rootCost)
+}
+
+// finish assembles the result from the incumbent held by best — s
+// itself, or the parallel worker that found the cheapest schedule — and
+// the search-wide state of s.
+func (s *searcher) finish(best *searcher) (*Schedule, error) {
+	s.stats.Elapsed = time.Since(s.start)
 	s.stats.Curtailed = s.curtail
-
-	if len(s.best.Order) != s.g.N {
+	if best.bestCost == noIncumbent {
 		// minreg-k only: no feasible schedule was ever found. A completed
 		// search is a proof of infeasibility; a curtailed one is not.
 		if s.curtail {
 			return nil, fmt.Errorf("core: no schedule with MAXLIVE ≤ %d found before the search stopped: %w",
-				s.kBound, s.stopErr)
+				s.opts.Sched.K, s.stopErr)
 		}
 		return nil, fmt.Errorf("%w: exhausted search found no order of block %q with MAXLIVE ≤ %d",
-			ErrInfeasible, g.Block.Label, s.kBound)
+			ErrInfeasible, s.g.Block.Label, s.opts.Sched.K)
 	}
-
-	return &Schedule{
-		Order:       s.best.Order,
-		Eta:         s.best.Eta,
-		Pipes:       s.best.Pipes,
-		TotalNOPs:   s.best.TotalNOPs,
-		Ticks:       s.best.Ticks,
-		InitialNOPs: seedRes.TotalNOPs,
-		Optimal:     !s.curtail,
-		RootLB:      s.rootLB,
-		Gap:         certifiedGap(s.curtail, s.best.TotalNOPs, s.rootLB),
-		Stopped:     s.stopErr,
-		Stats:       s.stats,
-		MaxLive:     s.bestPeak,
-	}, nil
+	sched := best.model.schedule()
+	sched.InitialNOPs = s.initialNOPs
+	sched.Optimal = !s.curtail
+	sched.RootLB = s.rootLB
+	sched.Gap = certifiedGap(s.curtail, sched.TotalNOPs, s.rootLB)
+	sched.Stopped = s.stopErr
+	sched.Stats = s.stats
+	return sched, nil
 }
 
 // certifiedGap computes Schedule.Gap: zero for a completed (provably
@@ -523,18 +609,23 @@ func certifiedGap(curtailed bool, incumbent, rootLB int) int {
 	return 0
 }
 
-// trace records a search event when tracing is attached.
-func (s *searcher) trace(a TraceAction, depth, node, eta, mu int) {
+// trace records a search event when tracing is attached; Mu is μ(Φ) at
+// the time of the event.
+func (s *searcher) trace(a TraceAction, depth, node, eta int) {
 	if s.opts.Trace != nil {
-		s.opts.Trace.add(TraceEvent{Action: a, Depth: depth, Node: node, Eta: eta, Mu: mu, Worker: s.worker})
+		s.record(a, depth, node, eta)
 	}
 }
 
-// dfs fills position i of the schedule. It returns false when the search
-// has been curtailed and must unwind.
+func (s *searcher) record(a TraceAction, depth, node, eta int) {
+	s.opts.Trace.add(TraceEvent{Action: a, Depth: depth, Node: node, Eta: eta, Mu: s.model.mu(), Worker: s.worker})
+}
+
+// dfs fills position i of the schedule: every candidate ξ = Π[k] that
+// survives the filters is placed. It returns false when the search has
+// been curtailed and must unwind.
 func (s *searcher) dfs(i int) bool {
-	n := s.g.N
-	for k := i; k < n; k++ {
+	for k := i; k < s.g.N; k++ {
 		xi := s.perm[k]
 		if k > i {
 			kappa := s.perm[i]
@@ -548,7 +639,7 @@ func (s *searcher) dfs(i int) bool {
 				// levels — so we use the necessary condition instead.)
 				if s.g.Earliest(xi) > i || s.g.Latest(kappa) <= i {
 					s.stats.PrunedBounds++
-					s.trace(TraceBounds, i, xi, 0, s.eval.TotalNOPs())
+					s.trace(TraceBounds, i, xi, 0)
 					continue
 				}
 			}
@@ -566,18 +657,18 @@ func (s *searcher) dfs(i int) bool {
 			// NOP above the true optimum.
 			if !s.opts.StrongEquivalence && !s.opts.DisableEquivalence && s.equivalentSwap(kappa, xi) {
 				s.stats.PrunedEquivalence++
-				s.trace(TraceEquiv, i, xi, 0, s.eval.TotalNOPs())
+				s.trace(TraceEquiv, i, xi, 0)
 				continue
 			}
 		}
-		if !s.eval.Ready(xi) { // [5b]
+		if !s.ready(xi) { // [5b]
 			s.stats.PrunedIllegal++
-			s.trace(TraceIllegal, i, xi, 0, s.eval.TotalNOPs())
+			s.trace(TraceIllegal, i, xi, 0)
 			continue
 		}
 		if s.opts.StrongEquivalence && s.strongEquivBlocked(xi) {
 			s.stats.PrunedStrongEquiv++
-			s.trace(TraceStrong, i, xi, 0, s.eval.TotalNOPs())
+			s.trace(TraceStrong, i, xi, 0)
 			continue
 		}
 
@@ -591,12 +682,26 @@ func (s *searcher) dfs(i int) bool {
 	return true
 }
 
+// ready is [5b]: every immediate predecessor of u is already in Φ.
+func (s *searcher) ready(u int) bool {
+	for _, d := range s.g.Preds[u] {
+		if !s.placed[d.Node] {
+			return false
+		}
+	}
+	return true
+}
+
 // place prices ξ at position i (over one or all allowed pipelines,
 // depending on AssignSearch), applies α–β, and recurses. It returns false
 // on curtailment.
 func (s *searcher) place(i, xi int) bool {
+	if s.collectRoots {
+		s.roots = append(s.roots, xi)
+		return true
+	}
 	if s.opts.AssignSearch {
-		for _, pipe := range s.eval.PipeChoices(xi) {
+		for _, pipe := range s.model.pipeChoices(xi) {
 			if !s.placeOnPipe(i, xi, pipe, true) {
 				return false
 			}
@@ -610,164 +715,79 @@ func (s *searcher) placeOnPipe(i, xi, pipe int, explicit bool) bool {
 	// Step [4]: the curtail point counts Ω invocations.
 	if s.chargeOmega() {
 		s.curtail = true
-		s.trace(TraceCurtail, i, xi, 0, s.eval.TotalNOPs())
+		s.trace(TraceCurtail, i, xi, 0)
 	}
-	var eta int
-	if explicit {
-		eta = s.eval.PushWithPipe(xi, pipe)
-	} else {
-		eta = s.eval.Push(xi)
-	}
-	defer s.eval.Pop()
-	if s.lt != nil {
-		s.lt.push(xi)
-		defer s.lt.pop(xi)
-	}
-	if s.bnd != nil {
-		pos := s.eval.Len() - 1
-		s.bnd.Push(xi, s.eval.PipeAt(pos), s.eval.IssueAt(pos))
-		defer s.bnd.Pop(xi)
-	}
-	s.trace(TracePlace, i, xi, eta, s.eval.TotalNOPs())
-
-	// minreg-k feasibility: the running MAXLIVE never decreases along a
-	// branch, so a prefix already over the bound has no feasible
-	// completion — an exact prune, not a heuristic.
-	if s.kBound > 0 && s.livePeak() > s.kBound {
-		s.stats.PrunedPressure++
-		s.trace(TracePressure, i, xi, 0, s.eval.TotalNOPs())
-		return !s.curtail
-	}
-
-	// curCost is the prefix's packed cost: both components (NOPs and, in
-	// minreg-lex, MAXLIVE) are non-decreasing along a branch, so it is an
-	// admissible lower bound on any completion's packed cost.
-	curCost := s.packCost(s.eval.TotalNOPs(), s.livePeak())
-
-	// Lower-bound engine: from the just-issued tick, the schedule cannot
-	// finish before the longest scheduled dependent chain has drained
-	// (critical-path bound) nor before every pipeline has accepted its
-	// remaining forced instructions (resource bound). Final NOPs = final
-	// issue tick − instructions − entry offset, so a bound on the final
-	// tick bounds the final cost; if even an admissible bound cannot beat
-	// the incumbent, the branch is hopeless. (In minreg-lex each NOP
-	// bound is packed with the current peak — admissible because packing
-	// is monotone in both components.) The α–β class keeps branches
-	// already at incumbent cost (the outer guard), so each prune is
-	// attributed to exactly one class.
-	if s.bnd != nil && !s.opts.DisableLowerBound && curCost < s.bound() {
-		cp, res := s.bnd.Lower(s.eval.IssueAt(s.eval.Len() - 1))
-		cpC, resC := s.packCost(cp, s.livePeak()), s.packCost(res, s.livePeak())
-		if b := s.bound(); cpC >= b || resC >= b {
-			if cpC >= b {
-				s.stats.PrunedLowerBound++
-				s.trace(TraceLowerBound, i, xi, 0, s.eval.TotalNOPs())
-			} else {
-				s.stats.PrunedResource++
-				s.trace(TraceResource, i, xi, 0, s.eval.TotalNOPs())
-			}
-			return !s.curtail
-		}
-	}
-
-	// Step [6]: α–β — descend only while strictly cheaper than the best
-	// complete schedule (the packed prefix cost never decreases along a
-	// branch).
-	if curCost < s.bound() {
-		if s.eval.Len() == s.g.N {
-			// Step [3]: complete and strictly better.
-			s.stats.SchedulesExamined++
-			s.stats.Improvements++
-			s.best = s.eval.Snapshot()
-			s.bestTotal = s.best.TotalNOPs
-			s.bestPeak = s.livePeak()
-			s.bestCost = curCost
-			s.publish(s.bestCost)
-			s.trace(TraceImprove, i, xi, eta, s.bestTotal)
-			if s.bnd != nil && s.bestCost <= s.rootCost {
-				// The incumbent meets the packed root lower bound:
-				// provably optimal, nothing left to search. Unwind
-				// without marking a curtailment.
-				s.done = true
-				return false
-			}
-		} else {
-			if s.curtail {
-				return false
-			}
-			// Dominance: if this exact residual scheduling problem was
-			// already fully explored at a component-wise equal-or-lower
-			// (cost-so-far, peak-so-far), this visit cannot improve on
-			// what that one saw (or pruned against a then-no-tighter
-			// incumbent).
-			var key string
-			if s.table != nil {
-				key = s.memoKey()
-				if s.table.Dominated(key, s.eval.TotalNOPs(), s.livePeak()) {
-					s.stats.MemoHits++
-					s.trace(TraceMemo, i, xi, 0, s.eval.TotalNOPs())
-					return !s.curtail
-				}
-			}
-			if !s.dfs(i + 1) {
-				return false
-			}
-			// Record only FULLY explored subtrees (a curtailed or
-			// stopped subtree returned false above): dominance from a
-			// partially searched state could prune the only optimum.
-			if s.table != nil {
-				s.table.Store(key, s.eval.TotalNOPs(), s.livePeak())
-			}
-		}
-	} else {
-		s.stats.PrunedAlphaBeta++
-		s.trace(TraceAlphaBeta, i, xi, eta, s.eval.TotalNOPs())
-	}
-	return !s.curtail
+	eta := s.model.push(xi, pipe, explicit)
+	s.placed[xi] = true
+	ok := s.judge(i, xi, eta)
+	s.placed[xi] = false
+	s.model.pop(xi)
+	return ok
 }
 
-// memoKey builds the canonical dominance key of the CURRENT evaluator
-// state: scheduled set, per-pipeline enqueue residuals, in-flight flow
-// producers (issue + latency still binding a future consumer), and
-// unsatisfied external ready times — everything Ω consults when pricing
-// any completion, encoded relative to the last issue tick so revisits at
-// different absolute times collide (internal/memo has the full argument).
-func (s *searcher) memoKey() string {
-	c := &s.canon
-	c.Begin(s.g.N)
-	n := s.eval.Len()
-	last := s.eval.IssueAt(n - 1)
-	for pos := 0; pos < n; pos++ {
-		c.MarkScheduled(s.eval.NodeAt(pos))
-	}
-	s.pipeRes = s.bnd.PipeResiduals(last, s.pipeRes)
-	c.Pipes(s.pipeRes)
-	for pos := 0; pos < n; pos++ {
-		u := s.eval.NodeAt(pos)
-		for _, d := range s.g.Succs[u] {
-			if d.Kind.CarriesLatency() && !s.eval.Scheduled(d.Node) {
-				lat := s.m.Latency(s.eval.PipeAt(pos))
-				c.Pair(u, memo.Residual(s.eval.IssueAt(pos)+lat, last))
-				break
-			}
+// judge decides the fate of the prefix just extended by ξ (whose
+// placement priced eta): a model rule or α–β prunes it, it becomes the
+// new incumbent, or the search descends. It returns false on
+// curtailment or once the root certificate proves the incumbent optimal.
+func (s *searcher) judge(i, xi, eta int) bool {
+	s.trace(TracePlace, i, xi, eta)
+	cutoff := s.bound()
+	cost, prune, pruneEta := s.model.assess(xi, cutoff)
+	switch {
+	case prune != "":
+		s.stats.countPrune(prune)
+		s.trace(prune, i, xi, pruneEta)
+	case cost >= cutoff:
+		// Step [6]: α–β — descend only while strictly cheaper than the
+		// best complete schedule (the packed prefix cost never decreases
+		// along a branch).
+		s.stats.PrunedAlphaBeta++
+		s.trace(TraceAlphaBeta, i, xi, eta)
+	case i+1 == s.g.N:
+		// Step [3]: complete and strictly better.
+		s.stats.SchedulesExamined++
+		s.stats.Improvements++
+		s.bestCost = cost
+		s.model.keep()
+		s.publish(cost)
+		s.trace(TraceImprove, i, xi, eta)
+		if s.certifies && cost <= s.rootCost {
+			// The incumbent meets the packed root lower bound: provably
+			// optimal, nothing left to search. Unwind without marking a
+			// curtailment.
+			return false
 		}
-	}
-	c.SealPairs()
-	if s.opts.Entry != nil && s.opts.Entry.ReadyTick != nil {
-		for v := 0; v < s.g.N; v++ {
-			if !s.eval.Scheduled(v) {
-				c.Pair(v, memo.Residual(s.opts.Entry.ReadyTick[v], last))
-			}
+	default:
+		if s.curtail {
+			return false
 		}
+		// Dominance: if this exact residual scheduling problem was
+		// already fully explored at a component-wise equal-or-lower
+		// (cost-so-far, peak-so-far), this visit cannot improve on what
+		// that one saw (or pruned against a then-no-tighter incumbent).
+		key, seen := s.model.dominated()
+		if seen {
+			s.stats.MemoHits++
+			s.trace(TraceMemo, i, xi, 0)
+			break
+		}
+		if !s.dfs(i + 1) {
+			return false
+		}
+		// Record only FULLY explored subtrees (a curtailed or stopped
+		// subtree returned false above): dominance from a partially
+		// searched state could prune the only optimum.
+		s.model.remember(key)
 	}
-	c.SealPairs()
-	return c.Key()
+	return !s.curtail
 }
 
 // equivalentSwap implements the paper's [5c]: the swap is skipped when
 // σ(ξ) = ∅ ∧ ρ(ξ) = ∅ ∧ σ(κ) = ∅ ∧ ρ(κ) = ∅ — both instructions use no
 // pipeline and depend on nothing, so exchanging them cannot change any
-// NOP count.
+// NOP count. The rule holds under the scoreboard model too: the exchange
+// changes no window threshold, no width contention and no dependence
+// tick, so the swapped completion costs exactly the same.
 //
 // (The bare paper condition is not sound in this DFS realization: the
 // cost-equivalence witness is "the same completion with κ and ξ
@@ -781,8 +801,8 @@ func (s *searcher) memoKey() string {
 // soaking against the exhaustive reference caught the unstrengthened
 // rule claiming optimality one to two NOPs above the true optimum.)
 func (s *searcher) equivalentSwap(kappa, xi int) bool {
-	return s.noPipe(xi) && len(s.g.Preds[xi]) == 0 &&
-		s.noPipe(kappa) && len(s.g.Preds[kappa]) == 0 &&
+	return s.pipeOf[xi] == machine.NoPipeline && len(s.g.Preds[xi]) == 0 &&
+		s.pipeOf[kappa] == machine.NoPipeline && len(s.g.Preds[kappa]) == 0 &&
 		sameSuccs(s.g, kappa, xi)
 }
 
@@ -802,18 +822,13 @@ func sameSuccs(g *dag.Graph, u, v int) bool {
 	return true
 }
 
-func (s *searcher) noPipe(u int) bool {
-	set := s.m.PipelinesFor(s.g.Block.Tuples[u].Op)
-	return len(set) == 0
-}
-
 // strongEquivBlocked reports whether an unscheduled interchangeable twin
 // with a smaller node number exists; if so, placing xi now would duplicate
 // a schedule reachable by placing the twin first.
 func (s *searcher) strongEquivBlocked(xi int) bool {
 	rep := s.equivClass[xi]
 	for u := rep; u < xi; u++ {
-		if s.equivClass[u] == rep && !s.eval.Scheduled(u) {
+		if s.equivClass[u] == rep && !s.placed[u] {
 			return true
 		}
 	}

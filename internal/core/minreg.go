@@ -1,14 +1,12 @@
 package core
 
-import (
-	"pipesched/internal/dag"
-	"pipesched/internal/machine"
-)
+import "pipesched/internal/dag"
 
 // The register-pressure modes (machine.SchedMinRegLex, SchedMinRegK)
 // couple internal/regalloc's liveness model into the branch-and-bound
-// search. This file holds the incremental live-set tracker and the
-// packed lexicographic cost the searcher prunes with.
+// search through the in-order cost model (inorder.go). This file holds
+// the incremental live-set tracker and the packed lexicographic cost the
+// model prices with.
 //
 // Liveness model (must match regalloc.intervals exactly — the oracle
 // cross-checks every emitted schedule's MaxLive against
@@ -133,21 +131,24 @@ func (lt *liveTracker) pop(u int) {
 	lt.peak = lt.saved[lt.depth]
 }
 
-// peakOf prices one complete (or prefix) order's MAXLIVE with a fresh
-// tracker — used to price seed schedules before the search proper.
-func peakOf(g *dag.Graph, order []int) int {
-	lt := newLiveTracker(g)
+// orderPeak prices one complete (or prefix) order's MAXLIVE, leaving
+// the tracker as it found it — used to price seed schedules before the
+// search proper.
+func (lt *liveTracker) orderPeak(order []int) int {
 	for _, u := range order {
 		lt.push(u)
 	}
-	return int(lt.peak)
+	peak := int(lt.peak)
+	for i := len(order) - 1; i >= 0; i-- {
+		lt.pop(order[i])
+	}
+	return peak
 }
 
-// modeCosts describes how the searcher prices and compares schedules
-// under its mode: lex packs (NOPs, MAXLIVE), the other modes order by
-// NOPs alone.
-func (s *searcher) packCost(nops, peak int) int64 {
-	if s.lex {
+// packCost orders schedules under the model's mode: minreg-lex packs
+// (NOPs, MAXLIVE), the other in-order modes order by NOPs alone.
+func (md *inOrderModel) packCost(nops, peak int) int64 {
+	if md.lex {
 		return packLex(nops, peak)
 	}
 	return int64(nops)
@@ -155,15 +156,14 @@ func (s *searcher) packCost(nops, peak int) int64 {
 
 // livePeak returns the running MAXLIVE of the current prefix (0 when
 // the mode does not track pressure).
-func (s *searcher) livePeak() int {
-	if s.lt == nil {
+func (md *inOrderModel) livePeak() int {
+	if md.lt == nil {
 		return 0
 	}
-	return int(s.lt.peak)
+	return int(md.lt.peak)
 }
 
-// feasiblePeak reports whether a schedule with the given MAXLIVE
-// satisfies the mode's pressure constraint.
-func feasiblePeak(sched machine.SchedMode, peak int) bool {
-	return sched.Kind != machine.SchedMinRegK || peak <= sched.K
+// overK reports whether a MAXLIVE breaks minreg-k's pressure constraint.
+func (md *inOrderModel) overK(peak int) bool {
+	return md.kBound > 0 && peak > md.kBound
 }

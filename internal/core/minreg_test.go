@@ -86,7 +86,7 @@ func TestLiveTrackerMatchesRegalloc(t *testing.T) {
 				t.Fatalf("permute: %v", err)
 			}
 			want := regalloc.Pressure(nb)
-			if got := peakOf(g, order); got != want {
+			if got := newLiveTracker(g).orderPeak(order); got != want {
 				t.Fatalf("block %d order %v: tracker MAXLIVE %d, regalloc %d\n%s",
 					i, order, got, want, g.Block)
 			}

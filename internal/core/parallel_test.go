@@ -8,28 +8,56 @@ import (
 	"pipesched/internal/dag"
 	"pipesched/internal/machine"
 	"pipesched/internal/nopins"
+	"pipesched/internal/sim"
 )
 
+// TestFindParallelMatchesFindProperty: the parallel search returns the
+// sequential search's cost and optimality verdict with a legal order, in
+// the paper mode and in the scoreboard mode (whose claimed issue ticks
+// and stall count must also replay on the window-machine simulator).
 func TestFindParallelMatchesFindProperty(t *testing.T) {
 	m := machine.SimulationMachine()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := dag.Build(randomBlock(rng, 3+rng.Intn(9)))
-		if err != nil {
-			return false
+	for _, tc := range []struct {
+		mode   machine.SchedMode
+		lambda int64
+	}{
+		{machine.SchedMode{}, 500000},
+		// The scoreboard search has no bound engine or memo: about one
+		// block in 1500 of these needs ~700k placements to finish.
+		{machine.Scoreboard(8, 2), 5000000},
+		{machine.Scoreboard(1, 1), 5000000},
+	} {
+		mode := tc.mode
+		opts := Options{Sched: mode, Lambda: tc.lambda}
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			g, err := dag.Build(randomBlock(rng, 3+rng.Intn(9)))
+			if err != nil {
+				return false
+			}
+			seq, err := Find(g, m, opts)
+			if err != nil || !seq.Optimal {
+				return false
+			}
+			par, err := FindParallel(g, m, opts, 4)
+			if err != nil || !par.Optimal {
+				return false
+			}
+			if par.TotalNOPs != seq.TotalNOPs || !g.IsLegalOrder(par.Order) {
+				return false
+			}
+			if mode.Kind != machine.SchedScoreboard {
+				return true
+			}
+			return sim.VerifyScoreboard(sim.ScoreboardInput{
+				Input:  sim.Input{Graph: g, M: m, Order: par.Order, Pipes: par.Pipes},
+				Window: mode.Window,
+				Width:  mode.Width,
+			}, par.IssueTicks, par.TotalNOPs) == nil
 		}
-		seq, err := Find(g, m, Options{Lambda: 500000})
-		if err != nil || !seq.Optimal {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Errorf("mode %s: %v", mode, err)
 		}
-		par, err := FindParallel(g, m, Options{Lambda: 500000}, 4)
-		if err != nil || !par.Optimal {
-			return false
-		}
-		return par.TotalNOPs == seq.TotalNOPs && g.IsLegalOrder(par.Order)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

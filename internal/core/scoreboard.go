@@ -4,11 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"pipesched/internal/dag"
-	"pipesched/internal/gross"
-	"pipesched/internal/listsched"
 	"pipesched/internal/machine"
 	"pipesched/internal/nopins"
 )
@@ -57,16 +54,20 @@ import (
 //
 // # Search
 //
-// The branch-and-bound skeleton is the paper's: [5a]/[5b]/[5c] and the
-// strong-equivalence filter apply unchanged, because all four are
-// order-structural — [5c] and strong equivalence exchange instructions
-// with identical dependence structure and pipeline sets, which leaves
-// the tick computation of every completion unchanged. α–β prunes on the
-// prefix's stall floor (the running makespan never decreases along a
-// branch), strengthened by a latency-weighted critical-path bound
-// (heightTicks below). The paper's bound engine and dominance table stay
-// OFF: their NOP arithmetic assumes in-order issue and is inadmissible
-// here.
+// The scoreboard mode runs the same branch-and-bound kernel as every
+// other mode (core.go), with scoreboardModel as its cost model. The
+// kernel's [5a]/[5b]/[5c] and strong-equivalence filters apply
+// unchanged, because all four are order-structural — [5c] and strong
+// equivalence exchange instructions with identical dependence structure
+// and pipeline sets, which leaves the tick computation of every
+// completion unchanged. α–β prunes on the prefix's stall floor (the
+// running makespan never decreases along a branch), and the model adds a
+// latency-weighted critical-path bound (heightTicks below). The model
+// declares the paper's bound engine and dominance memo inadmissible —
+// their NOP arithmetic assumes in-order issue — so neither is built. Its
+// root bound always certifies: an incumbent at the root bound stops the
+// search even with DisableLowerBound, when that bound is 0. Trace events
+// carry the issue tick in Eta and the prefix's stalls in Mu.
 //
 // Unsupported options (ErrScoreboardOption): Entry state — the window
 // model has no cross-block reservation semantics yet — and any pipeline
@@ -76,21 +77,35 @@ import (
 // does not support.
 var ErrScoreboardOption = errors.New("core: option not supported in scoreboard mode")
 
-// sbSearcher carries the mutable state of one scoreboard-mode search.
-type sbSearcher struct {
-	g    *dag.Graph
-	m    *machine.Machine
-	opts Options
+// checkScoreboardOptions rejects the options the scoreboard mode does not
+// support; it accepts every Options of the other modes.
+func checkScoreboardOptions(opts Options) error {
+	if opts.Sched.Kind != machine.SchedScoreboard {
+		return nil
+	}
+	if opts.Entry != nil {
+		return fmt.Errorf("%w: entry state", ErrScoreboardOption)
+	}
+	if opts.Assign != nopins.AssignFixed || opts.AssignSearch {
+		return fmt.Errorf("%w: pipeline assignment beyond AssignFixed", ErrScoreboardOption)
+	}
+	return nil
+}
+
+// scoreboardModel is the cost model of the out-of-order window machine.
+type scoreboardModel struct {
+	g         *dag.Graph
+	m         *machine.Machine
+	disableLB bool // DisableLowerBound: no critical-path pruning, root bound 0
 
 	window, width int
 	minTicks      int   // ⌈N/width⌉: the width-limited minimum makespan
 	pipeOf        []int // node -> fixed pipeline (machine.NoPipeline for none)
 	heightTicks   []int // node -> latency-weighted longest downstream chain
 
-	perm  []int // the paper's Π: current complete ordering
-	posOf []int // node -> prefix position, or -1
-	order []int // prefix node order
-	ticks []int // prefix issue ticks, by position (NOT monotone: OoO)
+	tickOf []int // node -> issue tick, valid while the node is in the prefix
+	order  []int // prefix node order
+	ticks  []int // prefix issue ticks, by position (NOT monotone: OoO)
 
 	cnt      []int         // tick -> instructions issued (width accounting)
 	sorted   []int         // prefix ticks, ascending (window threshold)
@@ -98,78 +113,82 @@ type sbSearcher struct {
 	maxTick  int
 	savedMax []int // per-depth maxTick snapshot for pop
 
-	bestStalls int
-	bestMax    int
-	bestOrder  []int
-	bestTicks  []int
-
-	rootLB  int
-	stats   Stats
-	curtail bool
-	stopErr error
-	done    bool
-
-	equivClass []int
+	pricedOrder, pricedTicks []int // last order priced
+	pricedMax                int
+	bestOrder, bestTicks     []int // the incumbent
+	bestMax                  int
 }
 
-func newSBSearcher(g *dag.Graph, m *machine.Machine, opts Options) *sbSearcher {
+// newScoreboardModel builds the model; pipeOf is the kernel's node ->
+// fixed pipeline table, shared read-only.
+func newScoreboardModel(g *dag.Graph, m *machine.Machine, opts Options, pipeOf []int) *scoreboardModel {
 	n := g.N
-	s := &sbSearcher{
-		g:        g,
-		m:        m,
-		opts:     opts,
-		window:   opts.Sched.Window,
-		width:    opts.Sched.Width,
-		minTicks: (n + opts.Sched.Width - 1) / opts.Sched.Width,
-		pipeOf:   make([]int, n),
-		posOf:    make([]int, n),
-		order:    make([]int, 0, n),
-		ticks:    make([]int, 0, n),
-		sorted:   make([]int, 0, n),
-		pipeLast: map[int][]int{},
-		savedMax: make([]int, 0, n),
-	}
-	for u := 0; u < n; u++ {
-		set := m.PipelinesFor(g.Block.Tuples[u].Op)
-		if len(set) == 0 {
-			s.pipeOf[u] = machine.NoPipeline
-		} else {
-			s.pipeOf[u] = set[0]
-		}
-		s.posOf[u] = -1
+	md := &scoreboardModel{
+		g:         g,
+		m:         m,
+		disableLB: opts.DisableLowerBound,
+		window:    opts.Sched.Window,
+		width:     opts.Sched.Width,
+		minTicks:  (n + opts.Sched.Width - 1) / opts.Sched.Width,
+		pipeOf:    pipeOf,
+		tickOf:    make([]int, n),
+		order:     make([]int, 0, n),
+		ticks:     make([]int, 0, n),
+		sorted:    make([]int, 0, n),
+		pipeLast:  map[int][]int{},
+		savedMax:  make([]int, 0, n),
 	}
 	// heightTicks[u]: the longest chain of issue separations forced below
 	// u — flow edges carry max(1, latency(pipe(u))), ordering edges carry
 	// 1. Admissible: every descendant chain issues at those separations
 	// or later in every order. Nodes are numbered in program order, which
 	// is topological, so a single reverse sweep suffices.
-	s.heightTicks = make([]int, n)
+	md.heightTicks = make([]int, n)
 	for u := n - 1; u >= 0; u-- {
 		for _, d := range g.Succs[u] {
 			w := 1
 			if d.Kind.CarriesLatency() {
-				if lat := m.Latency(s.pipeOf[u]); lat > 1 {
+				if lat := m.Latency(pipeOf[u]); lat > 1 {
 					w = lat
 				}
 			}
-			if h := w + s.heightTicks[d.Node]; h > s.heightTicks[u] {
-				s.heightTicks[u] = h
+			if h := w + md.heightTicks[d.Node]; h > md.heightTicks[u] {
+				md.heightTicks[u] = h
 			}
 		}
 	}
-	return s
+	return md
+}
+
+// root is the latency-weighted critical path (+1 for the chain head's
+// own tick) above the width floor, or 0 with DisableLowerBound.
+func (md *scoreboardModel) root() (int, int64, bool) {
+	lb := 0
+	if !md.disableLB {
+		cp := 0
+		for _, h := range md.heightTicks {
+			if h+1 > cp {
+				cp = h + 1
+			}
+		}
+		if cp > md.minTicks {
+			lb = cp - md.minTicks
+		}
+	}
+	return lb, int64(lb), true
 }
 
 // push appends node x to the prefix, assigns its issue tick per the
-// machine model, and returns the tick.
-func (s *sbSearcher) push(x int) int {
-	k := len(s.order)
+// machine model, and returns the tick. The pipeline is fixed by the
+// node (AssignSearch is rejected in this mode).
+func (md *scoreboardModel) push(x, _ int, _ bool) int {
+	k := len(md.order)
 	lo := 1
-	for _, d := range s.g.Preds[x] {
-		tp := s.ticks[s.posOf[d.Node]]
+	for _, d := range md.g.Preds[x] {
+		tp := md.tickOf[d.Node]
 		w := 1
 		if d.Kind.CarriesLatency() {
-			if lat := s.m.Latency(s.pipeOf[d.Node]); lat > 1 {
+			if lat := md.m.Latency(md.pipeOf[d.Node]); lat > 1 {
 				w = lat
 			}
 		}
@@ -177,327 +196,136 @@ func (s *sbSearcher) push(x int) int {
 			lo = tp + w
 		}
 	}
-	p := s.pipeOf[x]
+	p := md.pipeOf[x]
 	if p != machine.NoPipeline {
-		if st := s.pipeLast[p]; len(st) > 0 {
-			if t := st[len(st)-1] + s.m.EnqueueTime(p); t > lo {
+		if st := md.pipeLast[p]; len(st) > 0 {
+			if t := st[len(st)-1] + md.m.EnqueueTime(p); t > lo {
 				lo = t
 			}
 		}
 	}
-	if k >= s.window {
+	if k >= md.window {
 		// x enters the window only after the (k−window+1)-th smallest
 		// prefix tick: at tick t the window holds the first `window`
 		// un-issued instructions, so at most window−1 of x's predecessors
 		// in π may still be waiting.
-		if t := s.sorted[k-s.window] + 1; t > lo {
+		if t := md.sorted[k-md.window] + 1; t > lo {
 			lo = t
 		}
 	}
 	t := lo
-	for t < len(s.cnt) && s.cnt[t] >= s.width {
+	for t < len(md.cnt) && md.cnt[t] >= md.width {
 		t++
 	}
-	for len(s.cnt) <= t {
-		s.cnt = append(s.cnt, 0)
+	for len(md.cnt) <= t {
+		md.cnt = append(md.cnt, 0)
 	}
-	s.cnt[t]++
-	s.order = append(s.order, x)
-	s.ticks = append(s.ticks, t)
-	s.posOf[x] = k
+	md.cnt[t]++
+	md.order = append(md.order, x)
+	md.ticks = append(md.ticks, t)
+	md.tickOf[x] = t
 	if p != machine.NoPipeline {
-		s.pipeLast[p] = append(s.pipeLast[p], t)
+		md.pipeLast[p] = append(md.pipeLast[p], t)
 	}
-	i := sort.SearchInts(s.sorted, t)
-	s.sorted = append(s.sorted, 0)
-	copy(s.sorted[i+1:], s.sorted[i:])
-	s.sorted[i] = t
-	s.savedMax = append(s.savedMax, s.maxTick)
-	if t > s.maxTick {
-		s.maxTick = t
+	i := sort.SearchInts(md.sorted, t)
+	md.sorted = append(md.sorted, 0)
+	copy(md.sorted[i+1:], md.sorted[i:])
+	md.sorted[i] = t
+	md.savedMax = append(md.savedMax, md.maxTick)
+	if t > md.maxTick {
+		md.maxTick = t
 	}
 	return t
 }
 
 // pop undoes the most recent push of node x.
-func (s *sbSearcher) pop(x int) {
-	k := len(s.order) - 1
-	t := s.ticks[k]
-	s.order = s.order[:k]
-	s.ticks = s.ticks[:k]
-	s.posOf[x] = -1
-	s.cnt[t]--
-	if p := s.pipeOf[x]; p != machine.NoPipeline {
-		st := s.pipeLast[p]
-		s.pipeLast[p] = st[:len(st)-1]
+func (md *scoreboardModel) pop(x int) {
+	k := len(md.order) - 1
+	t := md.ticks[k]
+	md.order = md.order[:k]
+	md.ticks = md.ticks[:k]
+	md.cnt[t]--
+	if p := md.pipeOf[x]; p != machine.NoPipeline {
+		st := md.pipeLast[p]
+		md.pipeLast[p] = st[:len(st)-1]
 	}
-	i := sort.SearchInts(s.sorted, t)
-	s.sorted = append(s.sorted[:i], s.sorted[i+1:]...)
-	s.maxTick = s.savedMax[k]
-	s.savedMax = s.savedMax[:k]
+	i := sort.SearchInts(md.sorted, t)
+	md.sorted = append(md.sorted[:i], md.sorted[i+1:]...)
+	md.maxTick = md.savedMax[k]
+	md.savedMax = md.savedMax[:k]
 }
 
-// priceOrder evaluates one complete order, returning its issue ticks and
-// makespan; the searcher's prefix is left empty.
-func (s *sbSearcher) priceOrder(order []int) (ticks []int, maxTick int) {
-	for _, u := range order {
-		s.push(u)
-	}
-	ticks = append([]int(nil), s.ticks...)
-	maxTick = s.maxTick
-	for i := len(order) - 1; i >= 0; i-- {
-		s.pop(order[i])
-	}
-	return ticks, maxTick
-}
+func (md *scoreboardModel) pipeChoices(int) []int { return nil }
 
-func (s *sbSearcher) ready(x int) bool {
-	for _, d := range s.g.Preds[x] {
-		if s.posOf[d.Node] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *sbSearcher) trace(a TraceAction, depth, node, tick, stalls int) {
-	if s.opts.Trace != nil {
-		s.opts.Trace.add(TraceEvent{Action: a, Depth: depth, Node: node, Eta: tick, Mu: stalls})
-	}
-}
-
-// chargeOmega counts one evaluation against λ and polls the context,
-// mirroring the paper-mode budget discipline.
-func (s *sbSearcher) chargeOmega() bool {
-	s.stats.OmegaCalls++
-	if s.opts.Ctx != nil && s.stats.OmegaCalls%ctxCheckEvery == 1 {
-		if err := s.opts.Ctx.Err(); err != nil {
-			if s.stopErr == nil {
-				s.stopErr = err
-			}
-			return true
-		}
-	}
-	if s.opts.Lambda > 0 && s.stats.OmegaCalls >= s.opts.Lambda {
-		if s.stopErr == nil {
-			s.stopErr = ErrBudget
-		}
-		return true
-	}
-	return false
-}
-
-// equivalentSwap is the paper's [5c] under the scoreboard cost: both
-// instructions use no pipeline, have no predecessors, and share
-// identical successor structure, so exchanging them changes no window
-// threshold, no width contention, and no dependence tick — the swapped
-// completion costs exactly the same.
-func (s *sbSearcher) equivalentSwap(kappa, xi int) bool {
-	return s.pipeOf[xi] == machine.NoPipeline && len(s.g.Preds[xi]) == 0 &&
-		s.pipeOf[kappa] == machine.NoPipeline && len(s.g.Preds[kappa]) == 0 &&
-		sameSuccs(s.g, kappa, xi)
-}
-
-func (s *sbSearcher) strongEquivBlocked(xi int) bool {
-	rep := s.equivClass[xi]
-	for u := rep; u < xi; u++ {
-		if s.equivClass[u] == rep && s.posOf[u] < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// dfs fills position i; structure mirrors the paper-mode searcher.
-func (s *sbSearcher) dfs(i int) bool {
-	n := s.g.N
-	for k := i; k < n; k++ {
-		xi := s.perm[k]
-		if k > i {
-			kappa := s.perm[i]
-			if !s.opts.DisableBoundsCheck {
-				if s.g.Earliest(xi) > i || s.g.Latest(kappa) <= i {
-					s.stats.PrunedBounds++
-					s.trace(TraceBounds, i, xi, 0, s.stalls())
-					continue
-				}
-			}
-			// [5c] must yield to the strong-equivalence filter (see the
-			// paper-mode dfs): the two rules otherwise each defer to a
-			// subtree the other pruned, dropping a whole twin class from
-			// this position.
-			if !s.opts.StrongEquivalence && !s.opts.DisableEquivalence && s.equivalentSwap(kappa, xi) {
-				s.stats.PrunedEquivalence++
-				s.trace(TraceEquiv, i, xi, 0, s.stalls())
-				continue
-			}
-		}
-		if !s.ready(xi) { // [5b]
-			s.stats.PrunedIllegal++
-			s.trace(TraceIllegal, i, xi, 0, s.stalls())
-			continue
-		}
-		if s.opts.StrongEquivalence && s.strongEquivBlocked(xi) {
-			s.stats.PrunedStrongEquiv++
-			s.trace(TraceStrong, i, xi, 0, s.stalls())
-			continue
-		}
-		s.perm[i], s.perm[k] = s.perm[k], s.perm[i]
-		ok := s.place(i, xi)
-		s.perm[i], s.perm[k] = s.perm[k], s.perm[i]
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// stalls returns the prefix's stall floor: the running makespan never
-// decreases along a branch, so this is an admissible lower bound on any
-// completion's stall count (and equals it on a complete schedule).
-func (s *sbSearcher) stalls() int {
-	if st := s.maxTick - s.minTicks; st > 0 {
+// stalls converts a makespan into a stall count. For a prefix it is the
+// stall floor: the running makespan never decreases along a branch, so
+// this is an admissible lower bound on any completion's stall count (and
+// equals it on a complete schedule).
+func (md *scoreboardModel) stalls(makespan int) int {
+	if st := makespan - md.minTicks; st > 0 {
 		return st
 	}
 	return 0
 }
 
-func (s *sbSearcher) place(i, xi int) bool {
-	if s.chargeOmega() {
-		s.curtail = true
-		s.trace(TraceCurtail, i, xi, 0, s.stalls())
-	}
-	t := s.push(xi)
-	defer s.pop(xi)
-	s.trace(TracePlace, i, xi, t, s.stalls())
+func (md *scoreboardModel) mu() int { return md.stalls(md.maxTick) }
 
-	// α–β: the prefix's stall floor already matches the incumbent.
-	if s.stalls() >= s.bestStalls {
-		s.stats.PrunedAlphaBeta++
-		s.trace(TraceAlphaBeta, i, xi, t, s.stalls())
-		return !s.curtail
+func (md *scoreboardModel) assess(xi int, cutoff int64) (int64, TraceAction, int) {
+	cost := int64(md.stalls(md.maxTick))
+	if md.disableLB || cost >= cutoff {
+		return cost, "", 0
 	}
 	// Critical-path bound: xi's downstream chain forces the makespan to
 	// at least t + heightTicks(xi).
-	if !s.opts.DisableLowerBound {
-		if lb := t + s.heightTicks[xi] - s.minTicks; lb >= s.bestStalls {
-			s.stats.PrunedLowerBound++
-			s.trace(TraceLowerBound, i, xi, t, s.stalls())
-			return !s.curtail
-		}
+	t := md.ticks[len(md.ticks)-1]
+	if int64(t+md.heightTicks[xi]-md.minTicks) >= cutoff {
+		return cost, TraceLowerBound, t
 	}
-
-	if len(s.order) == s.g.N {
-		// Complete and (by the α–β guard above) strictly better.
-		s.stats.SchedulesExamined++
-		s.stats.Improvements++
-		s.bestStalls = s.stalls()
-		s.bestMax = s.maxTick
-		s.bestOrder = append(s.bestOrder[:0], s.order...)
-		s.bestTicks = append(s.bestTicks[:0], s.ticks...)
-		s.trace(TraceImprove, i, xi, t, s.bestStalls)
-		if s.bestStalls <= s.rootLB {
-			// Provably optimal: unwind without marking curtailment.
-			s.done = true
-			return false
-		}
-	} else {
-		if s.curtail {
-			return false
-		}
-		if !s.dfs(i + 1) {
-			return false
-		}
-	}
-	return !s.curtail
+	return cost, "", 0
 }
 
-// findScoreboard is the scoreboard-mode entry point behind Find and
-// FindParallel (the mode's search core is separate; parallel callers
-// delegate here).
-func findScoreboard(g *dag.Graph, m *machine.Machine, opts Options) (*Schedule, error) {
-	if opts.Entry != nil {
-		return nil, fmt.Errorf("%w: entry state", ErrScoreboardOption)
-	}
-	if opts.Assign != nopins.AssignFixed || opts.AssignSearch {
-		return nil, fmt.Errorf("%w: pipeline assignment beyond AssignFixed", ErrScoreboardOption)
-	}
-	if g.N == 0 {
-		return &Schedule{Optimal: true, Order: []int{}, Eta: []int{}, Pipes: []int{}, IssueTicks: []int{}}, nil
-	}
-	seed := opts.InitialOrder
-	if seed == nil {
-		seed = listsched.Schedule(g, opts.SeedPriority)
-	}
-	if !g.IsLegalOrder(seed) {
-		return nil, errIllegalSeed
-	}
+func (md *scoreboardModel) dominated() (string, bool) { return "", false }
 
-	s := newSBSearcher(g, m, opts)
-	s.perm = append([]int(nil), seed...)
-	if opts.StrongEquivalence {
-		s.equivClass = equivalenceClasses(g, m)
-	}
-	if !opts.DisableLowerBound {
-		// Root bound: the latency-weighted critical path (+1 for the
-		// chain head's own tick) and the width floor.
-		cp := 0
-		for u := 0; u < g.N; u++ {
-			if h := s.heightTicks[u] + 1; h > cp {
-				cp = h
-			}
-		}
-		if cp > s.minTicks {
-			s.rootLB = cp - s.minTicks
-		}
-	}
+func (md *scoreboardModel) remember(string) {}
 
-	start := time.Now()
-	seedTicks, seedMax := s.priceOrder(seed)
-	s.stats.SeedOmegaCalls = int64(g.N)
-	s.stats.SchedulesExamined = 1
-	s.bestOrder = append([]int(nil), seed...)
-	s.bestTicks = seedTicks
-	s.bestMax = seedMax
-	s.bestStalls = seedMax - s.minTicks
-	initialStalls := s.bestStalls
-
-	if opts.InitialOrder == nil && !opts.DisableGreedySeed && s.bestStalls > 0 {
-		greedyOrder := gross.Schedule(g, m, opts.Assign).Order
-		greedyTicks, greedyMax := s.priceOrder(greedyOrder)
-		s.stats.SeedOmegaCalls += int64(g.N)
-		s.stats.SchedulesExamined++
-		if st := greedyMax - s.minTicks; st < s.bestStalls {
-			s.bestOrder = append([]int(nil), greedyOrder...)
-			s.bestTicks = greedyTicks
-			s.bestMax = greedyMax
-			s.bestStalls = st
-			initialStalls = st
-		}
+func (md *scoreboardModel) price(order []int) (int64, int, error) {
+	for _, u := range order {
+		md.push(u, 0, false)
 	}
-
-	if s.bestStalls > 0 && s.bestStalls > s.rootLB {
-		s.dfs(0)
+	md.pricedOrder = order
+	md.pricedTicks = append(md.pricedTicks[:0], md.ticks...)
+	md.pricedMax = md.maxTick
+	for i := len(order) - 1; i >= 0; i-- {
+		md.pop(order[i])
 	}
-	s.stats.Elapsed = time.Since(start)
-	s.stats.Curtailed = s.curtail
+	st := md.stalls(md.pricedMax)
+	return int64(st), st, nil
+}
 
-	pipes := make([]int, g.N)
-	for i, u := range s.bestOrder {
-		pipes[i] = s.pipeOf[u]
+func (md *scoreboardModel) adopt() {
+	md.bestOrder = append(md.bestOrder[:0], md.pricedOrder...)
+	md.bestTicks = append(md.bestTicks[:0], md.pricedTicks...)
+	md.bestMax = md.pricedMax
+}
+
+func (md *scoreboardModel) keep() {
+	md.bestOrder = append(md.bestOrder[:0], md.order...)
+	md.bestTicks = append(md.bestTicks[:0], md.ticks...)
+	md.bestMax = md.maxTick
+}
+
+func (md *scoreboardModel) schedule() *Schedule {
+	n := len(md.bestOrder)
+	pipes := make([]int, n)
+	for i, u := range md.bestOrder {
+		pipes[i] = md.pipeOf[u]
 	}
 	return &Schedule{
-		Order:       s.bestOrder,
-		Eta:         make([]int, g.N), // no NOP padding: hardware interlocks
-		Pipes:       pipes,
-		TotalNOPs:   s.bestStalls,
-		Ticks:       s.bestMax,
-		InitialNOPs: initialStalls,
-		Optimal:     !s.curtail,
-		RootLB:      s.rootLB,
-		Gap:         certifiedGap(s.curtail, s.bestStalls, s.rootLB),
-		Stopped:     s.stopErr,
-		Stats:       s.stats,
-		IssueTicks:  s.bestTicks,
-	}, nil
+		Order:      md.bestOrder,
+		Eta:        make([]int, n), // no NOP padding: hardware interlocks
+		Pipes:      pipes,
+		TotalNOPs:  md.stalls(md.bestMax),
+		Ticks:      md.bestMax,
+		IssueTicks: md.bestTicks,
+	}
 }

@@ -15,10 +15,10 @@ import (
 // sbGeometries is the (window, width) grid the differential tests sweep.
 var sbGeometries = [][2]int{{1, 1}, {2, 1}, {1, 2}, {4, 2}, {8, 2}, {3, 3}}
 
-// TestScoreboardIncrementalMatchesSimulator: the search's incremental
-// tick model must price every complete order exactly as the independent
-// tick-by-tick forward simulation — the claim that makes Push/Pop an
-// exact evaluation step.
+// TestScoreboardIncrementalMatchesSimulator: the scoreboard cost model's
+// incremental tick computation must price every complete order exactly
+// as the independent tick-by-tick forward simulation — the claim that
+// makes Push/Pop an exact evaluation step.
 func TestScoreboardIncrementalMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	checked := 0
@@ -29,11 +29,21 @@ func TestScoreboardIncrementalMatchesSimulator(t *testing.T) {
 		}
 		m := machine.Random(rng, machine.Params{SingleAssignment: true})
 		geo := sbGeometries[rng.Intn(len(sbGeometries))]
-		opts := Options{Sched: machine.Scoreboard(geo[0], geo[1])}
-		s := newSBSearcher(g, m, opts)
+		s, err := newSearcher(g, m, Options{Sched: machine.Scoreboard(geo[0], geo[1])}, randomLegalOrder(g, rng))
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		md := s.model.(*scoreboardModel)
 		for j := 0; j < 4; j++ {
 			order := randomLegalOrder(g, rng)
-			ticks, maxTick := s.priceOrder(order)
+			stalls, _, err := md.price(order)
+			if err != nil {
+				t.Fatalf("block %d: price: %v", i, err)
+			}
+			ticks, maxTick := md.pricedTicks, md.pricedMax
+			if want := int64(maxTick - (g.N+geo[1]-1)/geo[1]); stalls != want {
+				t.Fatalf("block %d: priced %d stalls for makespan %d, want %d", i, stalls, maxTick, want)
+			}
 			pipes := make([]int, g.N)
 			for p, u := range order {
 				pipes[p] = s.pipeOf[u]
@@ -105,7 +115,7 @@ func TestScoreboardMatchesExhaustive(t *testing.T) {
 				t.Fatalf("block %d: scoreboard mode emitted NOP padding %v", i, sched.Eta)
 			}
 		}
-		// FindParallel delegates; it must agree exactly.
+		// The parallel search over the same kernel must agree exactly.
 		par, err := FindParallel(g, m, Options{Sched: mode}, 4)
 		if err != nil || par.TotalNOPs != sched.TotalNOPs {
 			t.Fatalf("block %d: parallel scoreboard (stalls=%d, err=%v) vs sequential %d",

@@ -303,23 +303,11 @@ func scheduleCtx(ctx context.Context, block *Block, m *Machine, o Options, fault
 	}
 	telemetry.Active().RecordSearch(label, sched.Stats)
 
-	if o.Sched.Kind == machine.SchedScoreboard {
-		// Defense in depth for the scoreboard mode: the claimed issue
-		// ticks and stall count must replay exactly on the independent
-		// forward simulation of the window machine.
-		if err := sim.VerifyScoreboard(sim.ScoreboardInput{
-			Input:  sim.Input{Graph: g, M: m, Order: sched.Order, Pipes: sched.Pipes},
-			Window: o.Sched.Window, Width: o.Sched.Width,
-		}, sched.IssueTicks, sched.TotalNOPs); err != nil {
-			return nil, fmt.Errorf("pipesched: scoreboard schedule failed verification: %w", err)
-		}
-	}
-
 	quality := Optimal
 	if sched.Stopped != nil {
 		quality = Incumbent
 	}
-	c, err := emit(ctx, block, g, m, o, sched.Order, sched.Eta, sched.Pipes, quality, faults)
+	c, err := emit(ctx, block, g, m, o, sched.Order, sched.Eta, sched.Pipes, quality, faults, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +347,7 @@ func heuristicCompiled(ctx context.Context, block *Block, g *dag.Graph, m *Machi
 		}
 		return baselineCompiled(ctx, block, m, o, faults)
 	}
-	c, err := emit(ctx, block, g, m, o, r.Order, r.Eta, r.Pipes, Heuristic, faults)
+	c, err := emit(ctx, block, g, m, o, r.Order, r.Eta, r.Pipes, Heuristic, faults, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +416,7 @@ func baselineCompiled(ctx context.Context, block *Block, m *Machine, o Options, 
 	}); f != nil || err != nil {
 		g = nil
 	}
-	c, err := emit(ctx, block, g, m, o, order, eta, pipes, Baseline, faults)
+	c, err := emit(ctx, block, g, m, o, order, eta, pipes, Baseline, faults, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -489,9 +477,12 @@ func emitIsolated(ctx context.Context, prog codegen.Program, mode DelayMode, lab
 // survives: a failed allocator leaves Registers nil, a failed code
 // generator leaves Assembly empty. g may be nil on the Baseline rung;
 // NOP explanations, Tera backoff counts and the simulator verification
-// then degrade gracefully instead of failing.
+// then degrade gracefully instead of failing. searched is the search
+// result the schedule came from (nil on the rungs without a search); in
+// the scoreboard mode its claimed issue ticks and stall count are what
+// the window-machine replay must reproduce.
 func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options,
-	order, eta, pipes []int, quality Quality, faults []*StageError) (*Compiled, error) {
+	order, eta, pipes []int, quality Quality, faults []*StageError, searched *core.Schedule) (*Compiled, error) {
 	label := block.Label
 	scheduled, err := block.Permute(order)
 	if err != nil {
@@ -506,7 +497,7 @@ func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options
 	// (explanations, Tera backoff, the in-order hazard check) does not
 	// apply; degraded rungs (quality ≥ Heuristic) fall back to the paper's
 	// in-order NOP-padded semantics and keep the full machinery.
-	sbSched := o.Sched.Kind == machine.SchedScoreboard && quality < Heuristic && g != nil
+	sbSched := o.Sched.Kind == machine.SchedScoreboard && searched != nil
 	mode := o.Mode
 	prog := codegen.Program{Block: scheduled, Eta: eta, Regs: regs}
 	if o.ExplainNOPs && g != nil && !sbSched {
@@ -539,14 +530,15 @@ func emit(ctx context.Context, block *Block, g *dag.Graph, m *Machine, o Options
 	if g != nil {
 		// Defense in depth: every schedule leaving the library is
 		// re-verified by the independent simulator — the in-order hazard
-		// check for NOP-padded schedules, the window-machine replay for
-		// search-produced scoreboard schedules.
+		// check for NOP-padded schedules; for search-produced scoreboard
+		// schedules, the window-machine replay, which must reproduce the
+		// claimed issue ticks and stall count exactly.
 		if sbSched {
-			if _, err := sim.RunScoreboard(sim.ScoreboardInput{
+			if err := sim.VerifyScoreboard(sim.ScoreboardInput{
 				Input:  sim.Input{Graph: g, M: m, Order: order, Pipes: pipes},
 				Window: o.Sched.Window, Width: o.Sched.Width,
-			}); err != nil {
-				return nil, fmt.Errorf("pipesched: schedule failed verification: %w", err)
+			}, searched.IssueTicks, searched.TotalNOPs); err != nil {
+				return nil, fmt.Errorf("pipesched: scoreboard schedule failed verification: %w", err)
 			}
 		} else if _, err := sim.Run(sim.Input{
 			Graph: g, M: m, Order: order, Eta: eta, Pipes: pipes,
@@ -633,7 +625,7 @@ func ScheduleLargeCtx(ctx context.Context, block *Block, m *Machine, window int,
 	if r.OptimalWindows != r.Windows {
 		quality = Incumbent
 	}
-	c, err := emit(ctx, block, g, m, o, r.Order, r.Eta, r.Pipes, quality, nil)
+	c, err := emit(ctx, block, g, m, o, r.Order, r.Eta, r.Pipes, quality, nil, nil)
 	if err != nil {
 		done(nil)
 		return nil, err
@@ -770,7 +762,7 @@ func sequenceBaseline(ctx context.Context, blocks []*Block, m *Machine, o Option
 		}); f != nil || err != nil {
 			g = nil
 		}
-		c, err := emit(ctx, b, g, m, o, order, eta, pipes, Baseline, nil)
+		c, err := emit(ctx, b, g, m, o, order, eta, pipes, Baseline, nil, nil)
 		if err != nil {
 			return nil, err
 		}
