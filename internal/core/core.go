@@ -300,11 +300,12 @@ type costModel interface {
 	// carries. Bound rules are tried only while cost < cutoff, so every
 	// prune is attributed to exactly one class.
 	assess(xi int, cutoff int64) (cost int64, prune TraceAction, eta int)
-	// dominated consults the model's dominance memo: seen reports a
-	// revisited state that cannot improve; otherwise key identifies the
-	// state for remember, called once its subtree is fully explored.
-	dominated() (key string, seen bool)
-	remember(key string)
+	// dominated consults the model's dominance memo: it reports a
+	// revisited state that cannot improve. Otherwise the model keeps the
+	// state's key for remember, which the kernel calls at the same prefix
+	// once the state's subtree is fully explored.
+	dominated() bool
+	remember()
 	// price evaluates a complete order, leaving the prefix empty, and
 	// returns its packed cost (noIncumbent when the order breaks the
 	// mode's hard constraint) and its μ. adopt makes the order last
@@ -765,8 +766,7 @@ func (s *searcher) judge(i, xi, eta int) bool {
 		// already fully explored at a component-wise equal-or-lower
 		// (cost-so-far, peak-so-far), this visit cannot improve on what
 		// that one saw (or pruned against a then-no-tighter incumbent).
-		key, seen := s.model.dominated()
-		if seen {
+		if s.model.dominated() {
 			s.stats.MemoHits++
 			s.trace(TraceMemo, i, xi, 0)
 			break
@@ -777,7 +777,7 @@ func (s *searcher) judge(i, xi, eta int) bool {
 		// Record only FULLY explored subtrees (a curtailed or stopped
 		// subtree returned false above): dominance from a partially
 		// searched state could prune the only optimum.
-		s.model.remember(key)
+		s.model.remember()
 	}
 	return !s.curtail
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pipesched/internal/bound"
 	"pipesched/internal/dag"
@@ -28,10 +30,18 @@ type inOrderModel struct {
 	lt        *liveTracker // non-nil in the register-pressure modes
 	peakFloor int          // admissible root lower bound on MAXLIVE
 
-	bnd     *bound.Engine // lower-bound engine (nil when fully disabled)
-	table   *memo.Table   // dominance table (nil when disabled)
-	canon   memo.Canon    // reusable key builder for table lookups
-	pipeRes []int         // scratch for per-pipeline residuals
+	bnd *bound.Engine // lower-bound engine (nil when fully disabled)
+
+	// The dominance memo (DESIGN.md §11); sched is nil when it is
+	// disabled. The table is built by the first lookup, so a block
+	// settled by the root certificate never allocates one.
+	table     *memo.Table
+	canon     memo.Canon // reusable key builder for table lookups
+	sched     memo.Set   // the prefix's nodes, kept by push and pop
+	keys      [][]byte   // prefix length -> key of a missed lookup, for remember
+	pipeRes   []int      // scratch for per-pipeline residuals
+	maxLat    int        // largest pipeline latency: bounds the in-flight scan
+	readyDesc []int      // Entry.ReadyTick nodes by descending ready tick
 
 	priced, best         nopins.Result // last order priced; the incumbent
 	pricedPeak, bestPeak int           // their MAXLIVE (pressure modes)
@@ -67,7 +77,7 @@ func newInOrderModel(g *dag.Graph, m *machine.Machine, opts Options) (*inOrderMo
 	if !opts.DisableLowerBound || !opts.DisableMemo {
 		md.bnd = bound.New(g, m, boundConfig(opts))
 		if !opts.DisableMemo {
-			md.table = memo.NewTable(opts.MemoEntries)
+			md.initMemo()
 		}
 	}
 	return md, nil
@@ -108,6 +118,9 @@ func (md *inOrderModel) push(xi, pipe int, explicit bool) int {
 	if md.lt != nil {
 		md.lt.push(xi)
 	}
+	if md.sched != nil {
+		md.sched.Add(xi)
+	}
 	if md.bnd != nil {
 		pos := md.eval.Len() - 1
 		md.bnd.Push(xi, md.eval.PipeAt(pos), md.eval.IssueAt(pos))
@@ -121,6 +134,9 @@ func (md *inOrderModel) pop(xi int) {
 	}
 	if md.lt != nil {
 		md.lt.pop(xi)
+	}
+	if md.sched != nil {
+		md.sched.Remove(xi)
 	}
 	md.eval.Pop()
 }
@@ -162,17 +178,28 @@ func (md *inOrderModel) assess(xi int, cutoff int64) (int64, TraceAction, int) {
 	return cost, "", 0
 }
 
-func (md *inOrderModel) dominated() (string, bool) {
+func (md *inOrderModel) dominated() bool {
+	if md.sched == nil {
+		return false
+	}
 	if md.table == nil {
-		return "", false
+		md.table = memo.NewTable(md.opts.MemoEntries)
+		md.keys = make([][]byte, md.g.N+1)
 	}
 	key := md.memoKey()
-	return key, md.table.Dominated(key, md.eval.TotalNOPs(), md.livePeak())
+	if md.table.Dominated(key, md.eval.TotalNOPs(), md.livePeak()) {
+		return true
+	}
+	// The canon's buffer is rebuilt by every lookup below this node, so
+	// the key outlives the descent in this prefix length's own buffer.
+	d := md.eval.Len()
+	md.keys[d] = append(md.keys[d][:0], key...)
+	return false
 }
 
-func (md *inOrderModel) remember(key string) {
+func (md *inOrderModel) remember() {
 	if md.table != nil {
-		md.table.Store(key, md.eval.TotalNOPs(), md.livePeak())
+		md.table.Store(md.keys[md.eval.Len()], md.eval.TotalNOPs(), md.livePeak())
 	}
 }
 
@@ -208,40 +235,75 @@ func (md *inOrderModel) schedule() *Schedule {
 	}
 }
 
+// initMemo prepares the state the memo key is built from. The table and
+// the per-prefix key buffers wait for the first lookup.
+func (md *inOrderModel) initMemo() {
+	md.sched = memo.NewSet(md.g.N)
+	md.maxLat = md.m.MaxLatency()
+	if e := md.opts.Entry; e != nil && e.ReadyTick != nil {
+		md.readyDesc = make([]int, md.g.N)
+		for v := range md.readyDesc {
+			md.readyDesc[v] = v
+		}
+		slices.SortFunc(md.readyDesc, func(a, b int) int {
+			return cmp.Compare(e.ReadyTick[b], e.ReadyTick[a])
+		})
+	}
+}
+
 // memoKey builds the canonical dominance key of the CURRENT evaluator
 // state: scheduled set, per-pipeline enqueue residuals, in-flight flow
 // producers (issue + latency still binding a future consumer), and
 // unsatisfied external ready times — everything Ω consults when pricing
 // any completion, encoded relative to the last issue tick so revisits at
 // different absolute times collide (internal/memo has the full argument).
-func (md *inOrderModel) memoKey() string {
+// The bytes are valid until the next call.
+//
+// The cost is proportional to the live state, not to the prefix: issue
+// ticks strictly increase with position, so the backward in-flight scan
+// stops at the first producer that even the longest latency could not
+// keep in flight past last+1 — every earlier producer has a zero
+// residual and would be dropped from the key anyway. The ready section
+// stops likewise at the first ready tick already reached.
+func (md *inOrderModel) memoKey() []byte {
 	c := &md.canon
 	c.Begin(md.g.N)
+	c.Scheduled(md.sched)
 	n := md.eval.Len()
 	last := md.eval.IssueAt(n - 1)
-	for pos := 0; pos < n; pos++ {
-		c.MarkScheduled(md.eval.NodeAt(pos))
-	}
 	md.pipeRes = md.bnd.PipeResiduals(last, md.pipeRes)
 	c.Pipes(md.pipeRes)
-	for pos := 0; pos < n; pos++ {
-		u := md.eval.NodeAt(pos)
-		for _, d := range md.g.Succs[u] {
-			if d.Kind.CarriesLatency() && !md.eval.Scheduled(d.Node) {
-				lat := md.m.Latency(md.eval.PipeAt(pos))
-				c.Pair(u, memo.Residual(md.eval.IssueAt(pos)+lat, last))
-				break
+	for pos := n - 1; pos >= 0; pos-- {
+		issue := md.eval.IssueAt(pos)
+		if issue+md.maxLat <= last+1 {
+			break
+		}
+		if r := memo.Residual(issue+md.eval.LatAt(pos), last); r > 0 {
+			if u := md.eval.NodeAt(pos); md.feedsPending(u) {
+				c.Pair(u, r)
 			}
 		}
 	}
 	c.SealPairs()
-	if md.opts.Entry != nil && md.opts.Entry.ReadyTick != nil {
-		for v := 0; v < md.g.N; v++ {
-			if !md.eval.Scheduled(v) {
-				c.Pair(v, memo.Residual(md.opts.Entry.ReadyTick[v], last))
-			}
+	for _, v := range md.readyDesc {
+		r := memo.Residual(md.opts.Entry.ReadyTick[v], last)
+		if r == 0 {
+			break
+		}
+		if !md.eval.Scheduled(v) {
+			c.Pair(v, r)
 		}
 	}
 	c.SealPairs()
-	return c.Key()
+	return c.Bytes()
+}
+
+// feedsPending reports whether u has a flow consumer not yet scheduled.
+func (md *inOrderModel) feedsPending(u int) bool {
+	for _, d := range md.g.Succs[u] {
+		if d.Kind.CarriesLatency() && !md.eval.Scheduled(d.Node) {
+			return true
+		}
+	}
+	return false
 }

@@ -95,21 +95,23 @@ func checkScoreboardOptions(opts Options) error {
 // scoreboardModel is the cost model of the out-of-order window machine.
 type scoreboardModel struct {
 	g         *dag.Graph
-	m         *machine.Machine
 	disableLB bool // DisableLowerBound: no critical-path pruning, root bound 0
 
 	window, width int
 	minTicks      int   // ⌈N/width⌉: the width-limited minimum makespan
 	pipeOf        []int // node -> fixed pipeline (machine.NoPipeline for none)
+	pipeIdx       []int // node -> its pipeline's index in the machine table, -1 for none
+	enq           []int // pipeline index -> enqueue time
+	flowWait      []int // node -> max(1, latency(pipe)): a flow consumer's issue gap
 	heightTicks   []int // node -> latency-weighted longest downstream chain
 
 	tickOf []int // node -> issue tick, valid while the node is in the prefix
 	order  []int // prefix node order
 	ticks  []int // prefix issue ticks, by position (NOT monotone: OoO)
 
-	cnt      []int         // tick -> instructions issued (width accounting)
-	sorted   []int         // prefix ticks, ascending (window threshold)
-	pipeLast map[int][]int // pipe -> stack of enqueue ticks (π order)
+	cnt      []int   // tick -> instructions issued (width accounting)
+	sorted   []int   // prefix ticks, ascending (window threshold)
+	pipeLast [][]int // pipeline index -> stack of enqueue ticks (π order)
 	maxTick  int
 	savedMax []int // per-depth maxTick snapshot for pop
 
@@ -125,7 +127,6 @@ func newScoreboardModel(g *dag.Graph, m *machine.Machine, opts Options, pipeOf [
 	n := g.N
 	md := &scoreboardModel{
 		g:         g,
-		m:         m,
 		disableLB: opts.DisableLowerBound,
 		window:    opts.Sched.Window,
 		width:     opts.Sched.Width,
@@ -135,8 +136,32 @@ func newScoreboardModel(g *dag.Graph, m *machine.Machine, opts Options, pipeOf [
 		order:     make([]int, 0, n),
 		ticks:     make([]int, 0, n),
 		sorted:    make([]int, 0, n),
-		pipeLast:  map[int][]int{},
+		pipeIdx:   make([]int, n),
+		flowWait:  make([]int, n),
 		savedMax:  make([]int, 0, n),
+	}
+	// Dense pipeline indices (machine table order) and per-pipe enqueue
+	// stacks carved from one backing array, sized by the nodes per pipe.
+	md.enq = make([]int, len(m.Pipelines))
+	perPipe := make([]int, len(m.Pipelines))
+	for i, p := range m.Pipelines {
+		md.enq[i] = p.Enqueue
+	}
+	for u, p := range pipeOf {
+		md.flowWait[u] = max(1, m.Latency(p))
+		md.pipeIdx[u] = -1
+		for i := range m.Pipelines {
+			if m.Pipelines[i].ID == p {
+				md.pipeIdx[u] = i
+				perPipe[i]++
+				break
+			}
+		}
+	}
+	md.pipeLast = make([][]int, len(m.Pipelines))
+	stacks := make([]int, n)
+	for i, c := range perPipe {
+		md.pipeLast[i], stacks = stacks[:0:c], stacks[c:]
 	}
 	// heightTicks[u]: the longest chain of issue separations forced below
 	// u — flow edges carry max(1, latency(pipe(u))), ordering edges carry
@@ -148,9 +173,7 @@ func newScoreboardModel(g *dag.Graph, m *machine.Machine, opts Options, pipeOf [
 		for _, d := range g.Succs[u] {
 			w := 1
 			if d.Kind.CarriesLatency() {
-				if lat := m.Latency(pipeOf[u]); lat > 1 {
-					w = lat
-				}
+				w = md.flowWait[u]
 			}
 			if h := w + md.heightTicks[d.Node]; h > md.heightTicks[u] {
 				md.heightTicks[u] = h
@@ -185,21 +208,18 @@ func (md *scoreboardModel) push(x, _ int, _ bool) int {
 	k := len(md.order)
 	lo := 1
 	for _, d := range md.g.Preds[x] {
-		tp := md.tickOf[d.Node]
 		w := 1
 		if d.Kind.CarriesLatency() {
-			if lat := md.m.Latency(md.pipeOf[d.Node]); lat > 1 {
-				w = lat
-			}
+			w = md.flowWait[d.Node]
 		}
-		if tp+w > lo {
-			lo = tp + w
+		if t := md.tickOf[d.Node] + w; t > lo {
+			lo = t
 		}
 	}
-	p := md.pipeOf[x]
-	if p != machine.NoPipeline {
-		if st := md.pipeLast[p]; len(st) > 0 {
-			if t := st[len(st)-1] + md.m.EnqueueTime(p); t > lo {
+	pi := md.pipeIdx[x]
+	if pi >= 0 {
+		if st := md.pipeLast[pi]; len(st) > 0 {
+			if t := st[len(st)-1] + md.enq[pi]; t > lo {
 				lo = t
 			}
 		}
@@ -224,8 +244,8 @@ func (md *scoreboardModel) push(x, _ int, _ bool) int {
 	md.order = append(md.order, x)
 	md.ticks = append(md.ticks, t)
 	md.tickOf[x] = t
-	if p != machine.NoPipeline {
-		md.pipeLast[p] = append(md.pipeLast[p], t)
+	if pi >= 0 {
+		md.pipeLast[pi] = append(md.pipeLast[pi], t)
 	}
 	i := sort.SearchInts(md.sorted, t)
 	md.sorted = append(md.sorted, 0)
@@ -245,9 +265,8 @@ func (md *scoreboardModel) pop(x int) {
 	md.order = md.order[:k]
 	md.ticks = md.ticks[:k]
 	md.cnt[t]--
-	if p := md.pipeOf[x]; p != machine.NoPipeline {
-		st := md.pipeLast[p]
-		md.pipeLast[p] = st[:len(st)-1]
+	if pi := md.pipeIdx[x]; pi >= 0 {
+		md.pipeLast[pi] = md.pipeLast[pi][:len(md.pipeLast[pi])-1]
 	}
 	i := sort.SearchInts(md.sorted, t)
 	md.sorted = append(md.sorted[:i], md.sorted[i+1:]...)
@@ -284,9 +303,9 @@ func (md *scoreboardModel) assess(xi int, cutoff int64) (int64, TraceAction, int
 	return cost, "", 0
 }
 
-func (md *scoreboardModel) dominated() (string, bool) { return "", false }
+func (md *scoreboardModel) dominated() bool { return false }
 
-func (md *scoreboardModel) remember(string) {}
+func (md *scoreboardModel) remember() {}
 
 func (md *scoreboardModel) price(order []int) (int64, int, error) {
 	for _, u := range order {

@@ -7,9 +7,12 @@
 // once one branch has fully explored it, any later branch arriving with
 // an equal-or-worse cost-so-far is dominated and can be pruned.
 //
-// The table is keyed by a canonical encoding of the state (package-level
-// Canon builder) designed so that two states with identical completion
-// spaces collide:
+// The table is keyed by a canonical encoding of the state, built as bytes
+// by Canon (Canon.Bytes; the slice is reused by the next Begin) and
+// passed to Table.Dominated and Table.Store as []byte. A lookup does not
+// allocate; a string copy of the key is made only when Store admits a new
+// entry or rewrites an improved one. The encoding is designed so that two
+// states with identical completion spaces collide:
 //
 //   - All timing is RELATIVE to the last issue tick. Two occurrences of
 //     the same residual problem at different absolute ticks — "renumbered"
@@ -39,7 +42,10 @@
 // an eviction policy that could break reproducibility.
 package memo
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Residual converts an absolute tick constraint to the canonical
 // relative form: the number of ticks after lastIssue+1 (the earliest
@@ -52,61 +58,62 @@ func Residual(deadline, lastIssue int) int {
 	return 0
 }
 
+// Set is a node bitmask in the key's scheduled-set layout: bit u&7 of
+// byte u>>3. A search keeps one up to date as it pushes and pops nodes
+// and hands it to Canon.Scheduled, instead of re-marking the whole
+// prefix for every key.
+type Set []byte
+
+// NewSet returns an empty set over n nodes.
+func NewSet(n int) Set { return make(Set, (n+7)/8) }
+
+// Add puts node u in the set.
+func (s Set) Add(u int) { s[u>>3] |= 1 << (u & 7) }
+
+// Remove takes node u out of the set.
+func (s Set) Remove(u int) { s[u>>3] &^= 1 << (u & 7) }
+
 // Canon accumulates one state's canonical key. The caller contributes
 // sections in a fixed order — scheduled set, per-pipeline residuals,
 // in-flight producers, external ready times — and each section is
 // length- or width-delimited, so no two distinct section sequences can
 // encode to the same bytes. Reuse one Canon per searcher; Begin resets.
 type Canon struct {
-	buf    []byte
-	mask   []byte
-	sealed bool
-	n      int
-
-	pairs   [][2]int // (node, residual) for the current section
-	scratch [binary.MaxVarintLen64]byte
+	buf   []byte
+	n     int
+	pairs [][2]int // (node, residual) for the current section
 }
 
 // Begin starts a fresh key for an n-node block.
 func (c *Canon) Begin(n int) {
 	c.buf = c.buf[:0]
 	c.n = n
-	need := (n + 7) / 8
-	if cap(c.mask) < need {
-		c.mask = make([]byte, need)
-	}
-	c.mask = c.mask[:need]
-	for i := range c.mask {
-		c.mask[i] = 0
-	}
-	c.sealed = false
 	c.pairs = c.pairs[:0]
 	c.putUvarint(uint64(n))
 }
 
-// MarkScheduled records node u as part of the scheduled prefix. Order of
-// calls is irrelevant (the set is a bitmask).
-func (c *Canon) MarkScheduled(u int) { c.mask[u>>3] |= 1 << (u & 7) }
-
-func (c *Canon) putUvarint(v uint64) {
-	k := binary.PutUvarint(c.scratch[:], v)
-	c.buf = append(c.buf, c.scratch[:k]...)
+// Scheduled appends the scheduled prefix, a set over the n nodes passed
+// to Begin (its width is fixed by n, so the section is self-delimiting).
+// Call exactly once, right after Begin.
+func (c *Canon) Scheduled(s Set) {
+	if len(s) != (c.n+7)/8 {
+		panic(fmt.Sprintf("memo: scheduled set of %d bytes for a %d-node block", len(s), c.n))
+	}
+	c.buf = append(c.buf, s...)
 }
 
-// sealMask appends the scheduled bitmask; called lazily by the first
-// post-mask section.
-func (c *Canon) sealMask() {
-	if !c.sealed {
-		c.buf = append(c.buf, c.mask...)
-		c.sealed = true
+func (c *Canon) putUvarint(v uint64) {
+	if v < 0x80 { // the common case: one byte, the same as AppendUvarint writes
+		c.buf = append(c.buf, byte(v))
+		return
 	}
+	c.buf = binary.AppendUvarint(c.buf, v)
 }
 
 // Pipes appends the per-pipeline enqueue residuals, one per pipeline in
 // machine table order (fixed arity ⇒ self-delimiting). Call exactly once,
-// after all MarkScheduled calls.
+// after Scheduled.
 func (c *Canon) Pipes(residuals []int) {
-	c.sealMask()
 	c.putUvarint(uint64(len(residuals)))
 	for _, r := range residuals {
 		c.putUvarint(uint64(r))
@@ -145,15 +152,18 @@ func (c *Canon) SealPairs() {
 	c.pairs = c.pairs[:0]
 }
 
-// Key returns the accumulated canonical key. The returned string is
-// immutable and safe to use as a map key after the next Begin.
-func (c *Canon) Key() string {
-	c.sealMask()
-	return string(c.buf)
-}
+// Bytes returns the accumulated canonical key. The slice is owned by
+// the Canon and is overwritten by the next Begin; a caller that needs
+// the key longer copies it.
+func (c *Canon) Bytes() []byte { return c.buf }
 
-// DefaultCap is the default bound on table entries: at ~40 bytes of key
-// plus map overhead per entry this keeps a table under ~50 MB.
+// DefaultCap is the default bound on table entries. On the paper's
+// five-pipeline machine a key is 10–19 bytes (the node count, the
+// scheduled bitmask, one byte per pipeline, two per live pair), stored
+// in a 16- or 24-byte allocation; the map slot adds 24 bytes (string
+// header and record) and the map's load-factor slack the rest. Measured
+// with go1.24, an entry costs 60–70 bytes, and a full table of 14-byte
+// keys holds about 18 MB.
 const DefaultCap = 1 << 18
 
 // record is one stored visit: the (cost-so-far, peak-pressure-so-far)
@@ -200,9 +210,10 @@ func NewTable(capEntries int) *Table {
 // Dominated reports whether a previous visit to key completed its
 // subtree at cost-so-far <= cost AND peak-pressure-so-far <= live —
 // i.e. whether the current visit is dominated on both axes and may be
-// pruned. Modes that do not track pressure pass live = 0.
-func (t *Table) Dominated(key string, cost, live int) bool {
-	if rec, ok := t.m[key]; ok && rec.dominates(int32(cost), int32(live)) {
+// pruned. Modes that do not track pressure pass live = 0. The lookup
+// does not allocate.
+func (t *Table) Dominated(key []byte, cost, live int) bool {
+	if rec, ok := t.m[string(key)]; ok && rec.dominates(int32(cost), int32(live)) {
 		t.hits++
 		return true
 	}
@@ -216,11 +227,12 @@ func (t *Table) Dominated(key string, cost, live int) bool {
 // (any genuinely reached pair makes Dominated sound, so which pair is
 // kept is purely a hit-rate heuristic). New keys are dropped once the
 // table is full; dominating improvements to existing keys always land.
-func (t *Table) Store(key string, cost, live int) {
+// The table copies key; the caller may reuse it.
+func (t *Table) Store(key []byte, cost, live int) {
 	rec := record{cost: int32(cost), live: int32(live)}
-	if old, ok := t.m[key]; ok {
+	if old, ok := t.m[string(key)]; ok {
 		if rec.dominates(old.cost, old.live) && rec != old {
-			t.m[key] = rec
+			t.m[string(key)] = rec
 		}
 		return
 	}
@@ -228,7 +240,7 @@ func (t *Table) Store(key string, cost, live int) {
 		t.dropped++
 		return
 	}
-	t.m[key] = rec
+	t.m[string(key)] = rec
 	t.stores++
 }
 

@@ -9,10 +9,12 @@ import (
 // (node, deadline) constraints, all in ABSOLUTE ticks relative to
 // lastIssue — exercising exactly the translation the search performs.
 func buildKey(c *Canon, n int, scheduled []int, lastIssue int, pipeDeadline []int, inflight, ready [][2]int) string {
-	c.Begin(n)
+	set := NewSet(n)
 	for _, u := range scheduled {
-		c.MarkScheduled(u)
+		set.Add(u)
 	}
+	c.Begin(n)
+	c.Scheduled(set)
 	res := make([]int, len(pipeDeadline))
 	for i, d := range pipeDeadline {
 		res[i] = Residual(d, lastIssue)
@@ -26,7 +28,7 @@ func buildKey(c *Canon, n int, scheduled []int, lastIssue int, pipeDeadline []in
 		c.Pair(p[0], Residual(p[1], lastIssue))
 	}
 	c.SealPairs()
-	return c.Key()
+	return string(c.Bytes())
 }
 
 func TestResidual(t *testing.T) {
@@ -104,31 +106,32 @@ func TestKeyPairOrderIrrelevant(t *testing.T) {
 }
 
 func TestTableDominance(t *testing.T) {
+	k1, k2, k3 := []byte("k1"), []byte("k2"), []byte("k3")
 	tb := NewTable(2)
-	if tb.Dominated("k1", 5, 0) {
+	if tb.Dominated(k1, 5, 0) {
 		t.Fatal("empty table claimed dominance")
 	}
-	tb.Store("k1", 5, 0)
-	if !tb.Dominated("k1", 5, 0) || !tb.Dominated("k1", 7, 0) {
+	tb.Store(k1, 5, 0)
+	if !tb.Dominated(k1, 5, 0) || !tb.Dominated(k1, 7, 0) {
 		t.Fatal("equal/worse revisit not dominated")
 	}
-	if tb.Dominated("k1", 4, 0) {
+	if tb.Dominated(k1, 4, 0) {
 		t.Fatal("strictly better revisit wrongly dominated")
 	}
-	tb.Store("k1", 3, 0) // improvement lands
-	if !tb.Dominated("k1", 3, 0) {
+	tb.Store(k1, 3, 0) // improvement lands
+	if !tb.Dominated(k1, 3, 0) {
 		t.Fatal("improved entry not effective")
 	}
-	tb.Store("k2", 1, 0)
-	tb.Store("k3", 1, 0) // over capacity: dropped
+	tb.Store(k2, 1, 0)
+	tb.Store(k3, 1, 0) // over capacity: dropped
 	if tb.Len() != 2 {
 		t.Fatalf("table grew past its cap: %d entries", tb.Len())
 	}
-	if tb.Dominated("k3", 9, 9) {
+	if tb.Dominated(k3, 9, 9) {
 		t.Fatal("dropped key claimed dominance")
 	}
-	tb.Store("k1", 2, 0) // improvements still land when full
-	if !tb.Dominated("k1", 2, 0) {
+	tb.Store(k1, 2, 0) // improvements still land when full
+	if !tb.Dominated(k1, 2, 0) {
 		t.Fatal("improvement at capacity did not land")
 	}
 	hits, misses, stores, dropped := tb.Stats()
@@ -141,27 +144,65 @@ func TestTableDominance(t *testing.T) {
 // (cost, live) — a lower cost with a higher pressure-so-far does NOT
 // dominate, and vice versa.
 func TestTablePairDominance(t *testing.T) {
+	k := []byte("k")
 	tb := NewTable(0)
-	tb.Store("k", 5, 3)
-	if !tb.Dominated("k", 5, 3) || !tb.Dominated("k", 6, 3) || !tb.Dominated("k", 5, 4) {
+	tb.Store(k, 5, 3)
+	if !tb.Dominated(k, 5, 3) || !tb.Dominated(k, 6, 3) || !tb.Dominated(k, 5, 4) {
 		t.Fatal("component-wise worse revisit not dominated")
 	}
-	if tb.Dominated("k", 4, 9) {
+	if tb.Dominated(k, 4, 9) {
 		t.Fatal("lower-cost/higher-live revisit wrongly dominated")
 	}
-	if tb.Dominated("k", 9, 2) {
+	if tb.Dominated(k, 9, 2) {
 		t.Fatal("higher-cost/lower-live revisit wrongly dominated")
 	}
 	// An incomparable pair must not replace the stored one (either order
 	// of arrival keeps a sound table): after storing (4,9), (5,3) must
 	// still dominate revisits it dominated before.
-	tb.Store("k", 4, 9)
-	if !tb.Dominated("k", 6, 3) {
+	tb.Store(k, 4, 9)
+	if !tb.Dominated(k, 6, 3) {
 		t.Fatal("incomparable Store clobbered the existing record")
 	}
 	// A pair dominating on both axes replaces the record.
-	tb.Store("k", 4, 2)
-	if !tb.Dominated("k", 4, 2) {
+	tb.Store(k, 4, 2)
+	if !tb.Dominated(k, 4, 2) {
 		t.Fatal("dominating improvement did not land")
+	}
+}
+
+// TestLookupAllocs: building a key into a warm Canon and looking it up —
+// stored or missing — allocates nothing; so does a Store that does not
+// change the table.
+func TestLookupAllocs(t *testing.T) {
+	var c Canon
+	tb := NewTable(0)
+	stored := []byte(buildKey(&c, 12, []int{0, 2, 5}, 9, []int{11, 9}, [][2]int{{2, 13}}, nil))
+	missing := []byte(buildKey(&c, 12, []int{0, 2, 6}, 9, []int{11, 9}, [][2]int{{2, 13}}, nil))
+	tb.Store(stored, 5, 0)
+	res := []int{2, 0}
+	set := NewSet(12)
+	set.Add(3)
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"Dominated(stored)", func() { tb.Dominated(stored, 6, 0) }},
+		{"Dominated(stored, cheaper)", func() { tb.Dominated(stored, 4, 0) }},
+		{"Dominated(missing)", func() { tb.Dominated(missing, 6, 0) }},
+		{"Store(stored, no better)", func() { tb.Store(stored, 7, 0) }},
+		{"Canon", func() {
+			c.Begin(12)
+			c.Scheduled(set)
+			c.Pipes(res)
+			c.Pair(3, 4)
+			c.SealPairs()
+			c.SealPairs()
+			tb.Dominated(c.Bytes(), 1, 0)
+		}},
+	}
+	for _, tc := range cases {
+		if n := testing.AllocsPerRun(100, tc.f); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
+		}
 	}
 }

@@ -57,6 +57,7 @@ type Evaluator struct {
 	nodeAt []int // position -> node
 	pipeAt []int // position -> assigned pipeline ID
 	etaAt  []int // position -> NOPs inserted immediately before it
+	latAt  []int // position -> latency of its assigned pipeline
 	issue  []int // position -> issue tick t(i)
 	posOf  []int // node -> position, or -1 if unscheduled
 	n      int   // number of placed positions
@@ -75,6 +76,7 @@ func NewEvaluator(g *dag.Graph, m *machine.Machine, mode AssignMode) *Evaluator 
 		nodeAt:   make([]int, g.N),
 		pipeAt:   make([]int, g.N),
 		etaAt:    make([]int, g.N),
+		latAt:    make([]int, g.N),
 		issue:    make([]int, g.N),
 		posOf:    make([]int, g.N),
 	}
@@ -120,6 +122,11 @@ func (e *Evaluator) EtaAt(i int) int { return e.etaAt[i] }
 
 // PipeAt returns the pipeline assigned to the instruction at position i.
 func (e *Evaluator) PipeAt(i int) int { return e.pipeAt[i] }
+
+// LatAt returns the latency of the pipeline assigned to position i: how
+// many ticks after IssueAt(i) its result reaches a flow consumer (0 for
+// an instruction using no pipeline).
+func (e *Evaluator) LatAt(i int) int { return e.latAt[i] }
 
 // IssueAt returns the issue tick t(i) of position i (first tick is 1).
 func (e *Evaluator) IssueAt(i int) int { return e.issue[i] }
@@ -175,9 +182,8 @@ func (e *Evaluator) EtaFor(u, pipe int) int {
 		if jp < 0 {
 			panic(fmt.Sprintf("nopins: predecessor %d of node %d not scheduled", d.Node, u))
 		}
-		lat := e.M.Latency(e.pipeAt[jp])
 		base := prevIssue + 1 - e.issue[jp]
-		if def := lat - base; def > need {
+		if def := e.latAt[jp] - base; def > need {
 			need = def
 		}
 	}
@@ -240,6 +246,7 @@ func (e *Evaluator) pushWith(u, pipe, eta int) {
 	e.nodeAt[i] = u
 	e.pipeAt[i] = pipe
 	e.etaAt[i] = eta
+	e.latAt[i] = e.M.Latency(pipe)
 	if i == 0 {
 		e.issue[i] = e.entry.StartTick + eta + 1
 	} else {
