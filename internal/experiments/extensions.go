@@ -102,12 +102,12 @@ func RunWindowSweep(seed int64, blocks, statements int, m *machine.Machine,
 	for _, w := range windows {
 		var nops, omega, optWins, wins float64
 		for _, g := range pool {
-			r, err := splitter.Schedule(g, m, splitter.Config{Window: w, Lambda: 20000})
+			r, err := splitter.Schedule(g, m, splitter.Config{Window: w, Search: core.Options{Lambda: 20000}})
 			if err != nil {
 				return nil, err
 			}
 			nops += float64(r.TotalNOPs)
-			omega += float64(r.OmegaCalls)
+			omega += float64(r.Stats.OmegaCalls)
 			optWins += float64(r.OptimalWindows)
 			wins += float64(r.Windows)
 		}

@@ -2,6 +2,7 @@ package seqsched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"pipesched/internal/dag"
 	"pipesched/internal/ir"
 	"pipesched/internal/machine"
+	"pipesched/internal/nopins"
 	"pipesched/internal/sim"
 	"pipesched/internal/synth"
 )
@@ -29,6 +31,30 @@ func boundaryBlocks(t *testing.T) []*ir.Block {
 	return []*ir.Block{
 		mustBlock(t, "one:\n  1: Mul 2, 3"),
 		mustBlock(t, "two:\n  1: Mul 4, 5"),
+	}
+}
+
+// TestAdvanceClonesAndAdvances pins the boundary-threading step: the
+// clock and per-pipeline last enqueue move by the placed positions, the
+// issue ticks are reported, and the input state is left untouched.
+func TestAdvanceClonesAndAdvances(t *testing.T) {
+	s := &nopins.EntryState{StartTick: 3, PipeLast: map[int]int{1: 2, 4: 3}}
+	issue := make([]int, 3)
+	next := Advance(s, []int{0, 1, 2}, []int{1, machine.NoPipeline, 2}, issue)
+	if next.StartTick != 9 {
+		t.Errorf("StartTick = %d, want 9", next.StartTick)
+	}
+	if want := map[int]int{1: 4, 2: 9, 4: 3}; !reflect.DeepEqual(next.PipeLast, want) {
+		t.Errorf("PipeLast = %v, want %v", next.PipeLast, want)
+	}
+	if want := []int{4, 6, 9}; !reflect.DeepEqual(issue, want) {
+		t.Errorf("issue = %v, want %v", issue, want)
+	}
+	if s.StartTick != 3 || !reflect.DeepEqual(s.PipeLast, map[int]int{1: 2, 4: 3}) {
+		t.Errorf("input state modified: %+v", s)
+	}
+	if cold := Advance(nil, nil, nil, nil); cold.StartTick != 0 || cold.PipeLast == nil || len(cold.PipeLast) != 0 {
+		t.Errorf("cold start = %+v, want tick 0 and an empty map", cold)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestSingleWindowMatchesWholeBlockSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		split, err := Schedule(g, m, Config{Window: g.N + 1, Lambda: 200000})
+		split, err := Schedule(g, m, Config{Window: g.N + 1, Search: core.Options{Lambda: 200000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestDeterminism(t *testing.T) {
 func TestSplitterScalesToHugeBlocks(t *testing.T) {
 	g := randomGraph(t, 11, 120) // several hundred tuples
 	m := machine.SimulationMachine()
-	r, err := Schedule(g, m, Config{Window: 20, Lambda: 20000})
+	r, err := Schedule(g, m, Config{Window: 20, Search: core.Options{Lambda: 20000}})
 	if err != nil {
 		t.Fatal(err)
 	}
