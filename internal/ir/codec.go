@@ -39,9 +39,24 @@ func FormatBlocks(blocks []*Block) string {
 	return sb.String()
 }
 
+// Scanner limits: a line may be up to maxLineBytes long, and a reader of
+// unknown length starts with a maxScanBuf buffer (the scanner grows it
+// as long lines need).
+const (
+	maxScanBuf   = 64 * 1024
+	maxLineBytes = 1 << 20
+)
+
 // ParseBlocks reads any number of blocks in the textual tuple format.
 // Every parsed block is validated before being returned.
 func ParseBlocks(r io.Reader) ([]*Block, error) {
+	return parseBlocks(r, maxScanBuf)
+}
+
+// parseBlocks is ParseBlocks with the scanner's initial buffer size.
+// The size only changes how often the scanner grows its buffer, never
+// what it returns.
+func parseBlocks(r io.Reader, bufSize int) ([]*Block, error) {
 	var (
 		blocks []*Block
 		cur    *Block
@@ -59,7 +74,7 @@ func ParseBlocks(r io.Reader) ([]*Block, error) {
 		return nil
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, bufSize), maxLineBytes)
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -105,9 +120,12 @@ func ParseBlocks(r io.Reader) ([]*Block, error) {
 	return blocks, nil
 }
 
-// ParseBlock parses exactly one block from s.
+// ParseBlock parses exactly one block from s. The whole of s fits in a
+// buffer of len(s)+1 bytes, so the scanner is given that (capped at
+// maxScanBuf) instead of the default: a short block then costs a buffer
+// its own size, not 64 KB.
 func ParseBlock(s string) (*Block, error) {
-	blocks, err := ParseBlocks(strings.NewReader(s))
+	blocks, err := parseBlocks(strings.NewReader(s), min(len(s)+1, maxScanBuf))
 	if err != nil {
 		return nil, err
 	}

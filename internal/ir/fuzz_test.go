@@ -1,9 +1,46 @@
 package ir
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// scanSeeds are inputs at the scanner's edges: CRLF line endings, and
+// lines just inside and just past the 1 MiB line limit, both with and
+// without a final newline.
+func scanSeeds() []string {
+	long := func(n int) string { return "; " + strings.Repeat("x", n-2) }
+	return []string{
+		"blk:\r\n  1: Load #a\r\n  2: Mul @1, @1\r\n",
+		"1: Load #a\r\n\r\n2: Load #b\r\n",
+		long(maxLineBytes-1) + "\n1: Load #a\n",
+		long(maxLineBytes) + "\n1: Load #a\n",
+		"1: Load #a\n" + long(maxLineBytes),
+		"1: Load #a\n" + long(maxLineBytes+1),
+	}
+}
+
+// errText renders err for comparison; "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// checkSizedScan requires the input-sized scanner buffer ParseBlock uses
+// to parse src exactly as ParseBlocks' default buffer does.
+func checkSizedScan(t *testing.T, src string) {
+	t.Helper()
+	want, werr := ParseBlocks(strings.NewReader(src))
+	got, gerr := parseBlocks(strings.NewReader(src), min(len(src)+1, maxScanBuf))
+	if errText(gerr) != errText(werr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("sized buffer: %d blocks, err %q; default buffer: %d blocks, err %q",
+			len(got), errText(gerr), len(want), errText(werr))
+	}
+}
 
 // FuzzParseTuple checks the tuple-line parser never panics and that
 // anything it accepts round-trips through String.
@@ -48,10 +85,11 @@ func FuzzParseBlocks(f *testing.F) {
 		"a:\n1: Load #x\n\nb:\n1: Load #y\n",
 		"bad:\n  1: Mul @2, @3\n",
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, scanSeeds()...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		checkSizedScan(t, src)
 		blocks, err := ParseBlocks(strings.NewReader(src))
 		if err != nil {
 			return
@@ -82,11 +120,23 @@ func FuzzParseBlock(f *testing.F) {
 		"",
 		"; just a comment\n",
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, scanSeeds()...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		b, err := ParseBlock(src)
+		// The reference: the same parse through ParseBlocks' default
+		// buffer, then the exactly-one-block check.
+		var want *Block
+		blocks, werr := ParseBlocks(strings.NewReader(src))
+		if werr == nil && len(blocks) != 1 {
+			werr = fmt.Errorf("ir: expected exactly one block, found %d", len(blocks))
+		} else if werr == nil {
+			want = blocks[0]
+		}
+		if errText(err) != errText(werr) || !reflect.DeepEqual(b, want) {
+			t.Fatalf("ParseBlock = %v, %q; ParseBlocks reference = %v, %q", b, errText(err), want, errText(werr))
+		}
 		if err != nil {
 			return
 		}

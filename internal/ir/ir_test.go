@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -516,5 +518,44 @@ func TestExecNopAndUnknownOp(t *testing.T) {
 	bad.Tuples = append(bad.Tuples, Tuple{ID: 1, Op: Op(200)})
 	if _, err := Exec(bad, Env{}); err == nil {
 		t.Error("unknown op unreported")
+	}
+}
+
+// TestParseBlockAllocBytes pins the cost of parsing one request-sized
+// block: the scanner buffer is sized to the input, so a 20-tuple block
+// allocates a few KB, not the 64 KB default buffer plus its tuples.
+func TestParseBlockAllocBytes(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("blk:\n")
+	prev := 0 // the last value-producing tuple
+	for i := 1; i <= 20; i++ {
+		switch {
+		case i <= 5:
+			fmt.Fprintf(&sb, "  %d: Load #v%d\n", i, i)
+		case i%4 == 0:
+			fmt.Fprintf(&sb, "  %d: Store #w%d, @%d\n", i, i, prev)
+			continue
+		case i%2 == 0:
+			fmt.Fprintf(&sb, "  %d: Mul @%d, @%d\n", i, prev, i%5+1)
+		default:
+			fmt.Fprintf(&sb, "  %d: Add @%d, 7\n", i, prev)
+		}
+		prev = i
+	}
+	src := sb.String()
+	if b, err := ParseBlock(src); err != nil || b.Len() != 20 {
+		t.Fatalf("ParseBlock = %v, %v; want a 20-tuple block", b, err)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseBlock(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 16<<10 {
+		t.Errorf("ParseBlock of a 20-tuple block allocates %d B/op, want < 16 KiB", perOp)
 	}
 }

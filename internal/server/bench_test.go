@@ -18,7 +18,7 @@ func benchRequests(n int) []*Request {
 
 // BenchmarkServerThroughput measures end-to-end Submit throughput with
 // caching off: every request pays admission, queueing and a full
-// compile. This is the number BENCH_server.json tracks.
+// compile. BENCH_server.json records it beside the hit-path benchmarks.
 func BenchmarkServerThroughput(b *testing.B) {
 	s := New(Config{
 		QueueDepth:       1024,
@@ -71,6 +71,42 @@ func BenchmarkServerCachedThroughput(b *testing.B) {
 			}
 			if !resp.Cached {
 				b.Fatal("expected a cache hit after warmup")
+			}
+		}
+	})
+}
+
+// BenchmarkServerDiskHit measures the persistent tier's hit path: the
+// in-memory LRU holds one entry, so cycling through 64 requests misses
+// memory and every Submit reads, decodes and promotes a durable entry.
+func BenchmarkServerDiskHit(b *testing.B) {
+	s := New(Config{
+		QueueDepth:       1024,
+		DefaultTimeout:   10 * time.Second,
+		CacheEntries:     1,
+		CacheDir:         b.TempDir(),
+		BreakerThreshold: -1,
+	})
+	defer s.Close()
+	reqs := benchRequests(64)
+	for _, r := range reqs { // compile and write every entry through
+		if _, err := s.Submit(context.Background(), r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			req := reqs[i%len(reqs)]
+			i++
+			resp, err := s.Submit(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !resp.Cached {
+				b.Fatal("expected a cache hit after write-through")
 			}
 		}
 	})

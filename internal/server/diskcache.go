@@ -1,9 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"pipesched"
 	"pipesched/internal/fleet/store"
 )
@@ -15,12 +12,15 @@ import (
 // A restarted server therefore begins warm — the store's recovery scan
 // quarantines anything truncated or corrupt instead of failing startup.
 //
-// Entries are gob-encoded *pipesched.Compiled values. Only cacheable
-// results (clean, optimal, fault-free — see cacheable) ever reach the
-// tier, so a decode round-trip reproduces exactly what a fresh compile
-// would have produced. An entry that fails to decode is treated as a
-// miss and deleted: like the store's own checksum failures, persistent-
-// tier corruption degrades to recomputation, never to a wrong answer.
+// Entries are *pipesched.Compiled values in the versioned binary format
+// of diskcodec.go. Only cacheable results (clean, optimal, fault-free —
+// see cacheable) ever reach the tier, so a decode round-trip reproduces
+// exactly what a fresh compile would have produced. An entry that fails
+// to decode — corrupt, written by an older format version (gob, before
+// the codec existed), or trailing extra bytes — is treated as a miss,
+// deleted and counted as quarantined: like the store's own checksum
+// failures, persistent-tier corruption degrades to recomputation, never
+// to a wrong answer.
 type diskTier struct {
 	st  *store.Store
 	met *serverMetrics
@@ -50,14 +50,15 @@ func (d *diskTier) get(key string) (*pipesched.Compiled, bool) {
 		d.met.diskEntries.Set(int64(d.st.Len())) // may have quarantined on read
 		return nil, false
 	}
-	var c pipesched.Compiled
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
+	c, err := decodeCompiled(payload)
+	if err != nil {
 		d.st.Delete(key)
+		d.met.diskQuarantined.Inc()
 		d.met.diskEntries.Set(int64(d.st.Len()))
 		return nil, false
 	}
 	d.met.diskHits.Inc()
-	return &c, true
+	return c, true
 }
 
 // put writes one result through to disk. Encode or write failures are
@@ -67,11 +68,11 @@ func (d *diskTier) put(key string, c *pipesched.Compiled) {
 	if d == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+	payload, err := encodeCompiled(c)
+	if err != nil {
 		return
 	}
-	if err := d.st.Put(key, buf.Bytes()); err != nil {
+	if err := d.st.Put(key, payload); err != nil {
 		return
 	}
 	d.met.diskEntries.Set(int64(d.st.Len()))

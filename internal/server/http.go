@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync"
 
@@ -335,25 +336,44 @@ func ReadBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 // array is a batch (batch = true, one element per item, nils preserved);
 // anything else is a single request object (reqs has exactly one
 // element). The error is user-caused and maps to a 400.
+//
+// A single request, the common case, is decoded in one pass: the body
+// is read into a Request and a raw "requests" member at once, and only
+// a batch is decoded again, into its envelope.
 func DecodeCompileBody(body []byte) (reqs []*Request, batch bool, err error) {
-	var probe struct {
+	var one struct {
+		Request
 		Requests json.RawMessage `json:"requests"`
 	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return nil, false, fmt.Errorf("malformed JSON: %w", err)
-	}
-	if probe.Requests != nil {
+	err = json.Unmarshal(body, &one)
+	if one.Requests != nil {
 		var b wireBatch
 		if err := json.Unmarshal(body, &b); err != nil {
 			return nil, false, fmt.Errorf("malformed batch: %w", err)
 		}
 		return b.Requests, true, nil
 	}
-	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, false, fmt.Errorf("malformed request: %w", err)
+	if err == nil {
+		return []*Request{&one.Request}, false, nil
 	}
-	return []*Request{&req}, false, nil
+	// Errors name the types a client knows: the Request for a bad field,
+	// the body shape for a body that is not a JSON object at all.
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return nil, false, fmt.Errorf("malformed JSON: %w", err)
+	}
+	if te.Field == "" {
+		return nil, false, fmt.Errorf("malformed JSON: %w",
+			&json.UnmarshalTypeError{Value: te.Value, Type: reflect.TypeOf(compileBodyShape{}), Offset: te.Offset})
+	}
+	var req Request
+	return nil, false, fmt.Errorf("malformed request: %w", json.Unmarshal(body, &req))
+}
+
+// compileBodyShape is what a /compile body must be at the top level: a
+// JSON object, whose "requests" member, if present, makes it a batch.
+type compileBodyShape = struct {
+	Requests json.RawMessage `json:"requests"`
 }
 
 // serveBatch fans the batch out through Submit concurrently — each

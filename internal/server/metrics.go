@@ -68,7 +68,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m.diskHits = reg.Counter("pipesched_server_diskcache_hits_total", "LRU misses served from the persistent cache tier.")
 	m.diskEntries = reg.Gauge("pipesched_server_diskcache_entries", "Entries resident in the persistent cache tier.")
 	m.diskRecovered = reg.Counter("pipesched_server_diskcache_recovered_total", "Persistent cache entries recovered by the startup scan.")
-	m.diskQuarantined = reg.Counter("pipesched_server_diskcache_quarantined_total", "Corrupt or truncated persistent cache entries quarantined.")
+	m.diskQuarantined = reg.Counter("pipesched_server_diskcache_quarantined_total", "Corrupt, truncated or undecodable persistent cache entries quarantined or dropped.")
 	for _, r := range shedReasons {
 		m.shed[r] = reg.Counter("pipesched_server_shed_total", "Requests rejected by admission control.", "reason", r)
 	}

@@ -374,7 +374,7 @@ func (s *Server) prepare(req *Request) (*flight, time.Duration, error) {
 	if (req.Source == "") == (req.Tuples == "") {
 		return nil, 0, fmt.Errorf("%w: exactly one of source or tuples must be set", ErrInvalidRequest)
 	}
-	m, err := resolveMachine(req.Machine)
+	m, mkey, err := resolveMachine(req.Machine)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -396,7 +396,7 @@ func (s *Server) prepare(req *Request) (*flight, time.Duration, error) {
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
 	}
-	key := fingerprint(req.Source, req.Tuples, m, opts)
+	key := fingerprint(req.Source, req.Tuples, mkey, opts)
 	return &flight{key: key, source: req.Source, tuples: req.Tuples, block: block, m: m, opts: opts}, timeout, nil
 }
 
@@ -777,23 +777,46 @@ func (s *Server) Close() {
 	_ = s.Shutdown(ctx)
 }
 
-// resolveMachine parses a MachineSpec into a validated machine.
-func resolveMachine(spec MachineSpec) (*pipesched.Machine, error) {
+// presetMachine is one machine preset resolved for the whole process:
+// a shared machine and its canonical rendering, the string fingerprint
+// hashes.
+type presetMachine struct {
+	m   *pipesched.Machine
+	key string
+}
+
+// presetMachines holds every preset, built once. Requests share the
+// machines read-only: no pipeline stage writes to a machine, and
+// machine.New has already built each one's pipeline index, so nothing
+// is filled in lazily either.
+var presetMachines = func() map[string]presetMachine {
+	ps := map[string]presetMachine{}
+	for name, mk := range machine.Presets() {
+		m := mk()
+		ps[name] = presetMachine{m: m, key: m.String()}
+	}
+	return ps
+}()
+
+// resolveMachine parses a MachineSpec into a validated machine and its
+// canonical rendering. Presets come from presetMachines; a text spec is
+// parsed and rendered per request.
+func resolveMachine(spec MachineSpec) (*pipesched.Machine, string, error) {
 	switch {
 	case spec.Preset != "":
-		mk, ok := machine.Presets()[spec.Preset]
+		p, ok := presetMachines[spec.Preset]
 		if !ok {
-			return nil, fmt.Errorf("%w: unknown machine preset %q", ErrInvalidRequest, spec.Preset)
+			return nil, "", fmt.Errorf("%w: unknown machine preset %q", ErrInvalidRequest, spec.Preset)
 		}
-		return mk(), nil
+		return p.m, p.key, nil
 	case spec.Text != "":
 		m, err := machine.ParseString(spec.Text)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+			return nil, "", fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
-		return m, nil
+		return m, m.String(), nil
 	}
-	return nil, fmt.Errorf("%w: machine preset or text required", ErrInvalidRequest)
+	return nil, "", fmt.Errorf("%w: machine preset or text required", ErrInvalidRequest)
 }
 
 // resolveOptions maps wire options onto pipesched.Options.
